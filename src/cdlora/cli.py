@@ -46,6 +46,7 @@ from cdlora.training import (
     Encoder,
     MetricsLog,
     TrainOpts,
+    acceleration_bundle,
     consistency_distance,
     finetune_style_lora,
     lcd_distill,
@@ -99,11 +100,10 @@ def _attach_adapter(net, cfg):
     )
 
 
-def _train_opts(section: dict, seed: int) -> TrainOpts:
-    return TrainOpts(steps=section["steps"], lr=section["lr"], batch=section["batch"],
-                     p_uncond=section["p_uncond"], seed=seed,
-                     optimizer=section["optimizer"],
-                     lr_schedule=section["lr_schedule"])
+def _section_opts(cls, cfg: dict, name: str):
+    """TrainOpts or DistillConfig from config section `name` plus the run seed."""
+    fields = {k: v for k, v in cfg[name].items() if k != "checkpoint_every"}
+    return cls(seed=cfg["seed"], **fields)
 
 
 def _write_run_files(out: Path, cfg: dict, metrics: MetricsLog) -> None:
@@ -144,8 +144,8 @@ def cmd_train_teacher(args) -> int:
                  {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]})
 
     train_teacher(dataset, net, Encoder.identity(), sched,
-                  _train_opts(cfg["teacher"], cfg["seed"]), metrics=metrics,
-                  checkpoint_cb=checkpoint_cb if every else None, checkpoint_every=every)
+                  _section_opts(TrainOpts, cfg, "teacher"), metrics=metrics,
+                  checkpoint_cb=checkpoint_cb, checkpoint_every=every)
     save_net(out / "teacher.ckpt", net, sched, sched_cfg,
              {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]})
     _write_run_files(out, cfg, metrics)
@@ -159,38 +159,23 @@ def cmd_distill_lcm(args) -> int:
     teacher, sched, meta = load_net(_resolve(args.teacher))
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
-    d = cfg["distill"]
-    dcfg = DistillConfig(
-        eta=d["eta"], mu=d["mu"], k=d["k"], guidance_mode=d["guidance_mode"],
-        omega_fixed=d["omega_fixed"], omega_min=d["omega_min"], omega_max=d["omega_max"],
-        distance=d["distance"], huber_c=d["huber_c"], solver=d["solver"],
-        steps=d["steps"], batch_size=d["batch_size"], seed=cfg["seed"],
-        optimizer=d["optimizer"], lr_schedule=d["lr_schedule"],
-    )
+    dcfg = _section_opts(DistillConfig, cfg, "distill")
     head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", cfg["net"]["sigma_data"]))
     metrics = MetricsLog()
     out.mkdir(parents=True, exist_ok=True)
     fingerprint = net_fingerprint(teacher)
-    every = d["checkpoint_every"]
+    every = cfg["distill"]["checkpoint_every"]
 
     def checkpoint_cb(step):
-        save_adapter(out / f"acceleration_step{step}.ckpt",
-                     _bundle_snapshot(adapter, "acceleration", dcfg), fingerprint)
+        save_adapter(out / f"acceleration_step{step}.ckpt", acceleration_bundle(adapter, dcfg),
+                     fingerprint)
 
     bundle = lcd_distill(teacher, adapter, dataset, Encoder.identity(), sched, dcfg,
-                         head=head, metrics=metrics,
-                         checkpoint_cb=checkpoint_cb if every else None,
+                         head=head, metrics=metrics, checkpoint_cb=checkpoint_cb,
                          checkpoint_every=every)
     save_adapter(out / "acceleration.ckpt", bundle, fingerprint, {"config": cfg})
     _write_run_files(out, cfg, metrics)
     return 0
-
-
-def _bundle_snapshot(adapter, role, dcfg):
-    from cdlora.lora import AdapterBundle
-    return AdapterBundle(adapter=adapter, role=role,
-                         provenance={"solver": dcfg.solver, "k": dcfg.k,
-                                     "guidance_mode": dcfg.guidance_mode})
 
 
 def cmd_finetune_style(args) -> int:
@@ -202,7 +187,7 @@ def cmd_finetune_style(args) -> int:
     adapter = _attach_adapter(teacher, cfg)
     metrics = MetricsLog()
     bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched,
-                                 _train_opts(cfg["style"], cfg["seed"]), metrics=metrics)
+                                 _section_opts(TrainOpts, cfg, "style"), metrics=metrics)
     out.mkdir(parents=True, exist_ok=True)
     save_adapter(out / "style.ckpt", bundle, net_fingerprint(teacher), {"config": cfg})
     _write_run_files(out, cfg, metrics)
@@ -282,7 +267,10 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     samples, _cond = read_samples(_resolve(args.samples))
-    count = args.count or len(samples)
+    count = len(samples) if args.count is None else args.count
+    if not 1 <= count <= len(samples):
+        raise ValueError(f"--count {count} outside [1, {len(samples)}], the rows in "
+                         f"{args.samples}")
     params = {}
     if args.angle_deg is not None:
         params = {"base": args.dataset, "angle_deg": args.angle_deg}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdlora.schedule import NoiseSchedule, ScheduleError
+from cdlora.schedule import ALPHA_GUARD, NoiseSchedule, ScheduleError
 from cdlora.tensor import (
     NonFiniteError,
     Tensor,
@@ -31,8 +31,6 @@ from cdlora.tensor import (
     sub,
     transpose,
 )
-
-ALPHA_GUARD = 1e-6
 
 
 def sinusoidal_features(x, dim: int) -> np.ndarray:

@@ -18,6 +18,10 @@ class ScheduleError(ValueError):
     """Invalid schedule parameters or out-of-range timestep queries."""
 
 
+# smallest alpha(t) that x0 = (z - sigma * eps) / alpha may divide by
+ALPHA_GUARD = 1e-6
+
+
 class NoiseSchedule:
     def __init__(self, beta: np.ndarray):
         beta = np.asarray(beta, dtype=np.float64)

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdlora.schedule import NoiseSchedule, ScheduleError
-
-ALPHA_GUARD = 1e-6
+from cdlora.schedule import ALPHA_GUARD, NoiseSchedule, ScheduleError
 
 SOLVER_KINDS = ("ddim", "dpm2", "ddim-multi")
 

@@ -19,7 +19,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: nested tapes, missing tape, or backward on a consumed tape."""
+    """Tape misuse: nested tapes, or backward on a consumed tape."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -49,9 +49,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return stopgrad(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -118,7 +115,7 @@ class GradTape:
         _active_tape = None
         return False
 
-    def backward(self, loss: Tensor, retain: bool = False) -> None:
+    def backward(self, loss: Tensor) -> None:
         """Populate .grad on every requires_grad leaf reachable from loss.
 
         Leaves that took part in taped ops but do not influence the loss get
@@ -146,16 +143,7 @@ class GradTape:
         for leaf in self._leaves.values():
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.data)
-        if not retain:
-            self._consumed = True
-
-
-def backward(loss: Tensor, retain: bool = False) -> None:
-    """Reverse sweep from a scalar loss through the tape that recorded it."""
-    tape = getattr(loss, "_tape", None)
-    if tape is None:
-        raise TapeError("loss was not recorded on any gradient tape")
-    tape.backward(loss, retain=retain)
+        self._consumed = True
 
 
 def _record(arr: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
@@ -166,7 +154,6 @@ def _record(arr: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
     if not any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
         return out
     out.requires_grad = True
-    out._tape = tape
     tape._nodes.append((out, inputs, bwd))
     tape._produced.add(id(out))
     for x in inputs:
@@ -409,23 +396,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(parts)))
 
     return _record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
-
-
-_UNARY = {"silu": silu, "square": square}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op: str, a, b=None) -> Tensor:
-    """Dispatch the pointwise ops {add, sub, mul, silu, square} by name."""
-    if op in _UNARY:
-        if b is not None:
-            raise ShapeError(f"{op} is unary")
-        return _UNARY[op](a)
-    if op in _BINARY:
-        if b is None:
-            raise ShapeError(f"{op} needs two operands")
-        return _BINARY[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -128,37 +128,14 @@ class DistillConfig:
 
 
 class Encoder:
-    """Latent encoder: identity by default, or an invertible affine map."""
-
-    def __init__(self, matrix=None, offset=None):
-        if matrix is None:
-            self.matrix = None
-            self.offset = None
-        else:
-            self.matrix = np.asarray(matrix, dtype=np.float64)
-            self.offset = (np.zeros(self.matrix.shape[0]) if offset is None
-                           else np.asarray(offset, dtype=np.float64))
-            if abs(np.linalg.det(self.matrix)) < 1e-12:
-                raise ValueError("affine encoder matrix must be invertible")
-            self._inv = np.linalg.inv(self.matrix)
+    """Latent encoder: the identity, since the data is already 2-D points."""
 
     @classmethod
     def identity(cls) -> "Encoder":
         return cls()
 
-    @classmethod
-    def affine(cls, matrix, offset=None) -> "Encoder":
-        return cls(matrix, offset)
-
     def encode(self, x: np.ndarray) -> np.ndarray:
-        if self.matrix is None:
-            return np.asarray(x, dtype=np.float64)
-        return np.asarray(x, dtype=np.float64) @ self.matrix.T + self.offset
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        if self.matrix is None:
-            return np.asarray(z, dtype=np.float64)
-        return (np.asarray(z, dtype=np.float64) - self.offset) @ self._inv.T
+        return np.asarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +282,61 @@ def consistency_distance(f: Tensor, target: np.ndarray, kind: str, huber_c: floa
 # training loops
 
 
-def _check_finite(loss_val: float, step: int):
-    if not np.isfinite(loss_val):
-        raise DivergenceError(step, loss_val)
+def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str,
+           draw, loss_fn, after_step=None, metrics: Optional[MetricsLog] = None,
+           checkpoint_cb=None, checkpoint_every: int = 0) -> None:
+    """Run the training step every phase shares for steps 1..steps.
+
+    draw() builds the batch, and any frozen targets, off the tape; loss_fn(batch)
+    builds the loss on the tape. Then the optimizer updates params and
+    after_step() runs. A step's wall_ms spans draw to after_step; the
+    checkpoint falls outside it.
+    """
+    opt = make_optimizer(optimizer, lr)
+    for step in range(1, steps + 1):
+        tic = time.perf_counter()
+        with _step_guard(step):
+            batch = draw()
+        for p in params:
+            p.grad = None
+        with _step_guard(step), GradTape() as tape:
+            loss = loss_fn(batch)
+            tape.backward(loss)
+        loss_val = float(loss.data)
+        if not np.isfinite(loss_val):
+            raise DivergenceError(step, loss_val)
+        opt.lr = lr * lr_factor(lr_schedule, step, steps)
+        opt.step(params)
+        if after_step is not None:
+            after_step()
+        if metrics is not None:
+            metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)
+        if checkpoint_cb is not None and checkpoint_every > 0 and step % checkpoint_every == 0:
+            checkpoint_cb(step)
+
+
+def _diffusion_train(phase: str, net: DenoiserNet, params: list, dataset: Dataset2D,
+                     encoder: Encoder, sched: NoiseSchedule, opts: TrainOpts,
+                     adapter: Optional[LoraAdapter] = None, **hooks) -> None:
+    """Noise-prediction training with condition dropout, on the "<phase>/*" streams.
+
+    hooks (metrics, checkpoint_cb, checkpoint_every) pass through to _train.
+    """
+    z_data = encoder.encode(dataset.x)
+    s_batch, s_time, s_noise, s_drop = (substream(opts.seed, f"{phase}/{tag}")
+                                        for tag in ("batch", "timestep", "noise", "dropout"))
+
+    def draw():
+        idx = s_batch.integers(opts.batch, 0, len(z_data) - 1)
+        cond = dataset.cond[idx].copy()
+        n = s_time.integers(opts.batch, 1, sched.N)
+        eps = s_noise.normal((opts.batch, net.data_dim))
+        if opts.p_uncond > 0.0:
+            cond[s_drop.uniform(opts.batch) < opts.p_uncond] = net.null_id
+        return add_noise(z_data[idx], n, eps, sched), eps, cond, sched.t_of(n)
+
+    _train(opts.steps, params, opts.optimizer, opts.lr, opts.lr_schedule, draw,
+           lambda batch: diffusion_loss(net, *batch, adapter=adapter), **hooks)
 
 
 def train_teacher(dataset: Dataset2D, net: DenoiserNet, encoder: Encoder,
@@ -326,40 +355,17 @@ def train_teacher(dataset: Dataset2D, net: DenoiserNet, encoder: Encoder,
     if opts.steps == 0:
         return net
     net.set_trainable(True)
-    params = net.trainable_params()
-    opt = make_optimizer(opts.optimizer, opts.lr)
-    z_data = encoder.encode(dataset.x)
-    cond_data = dataset.cond
-
-    s_batch = substream(opts.seed, "teacher/batch")
-    s_time = substream(opts.seed, "teacher/timestep")
-    s_noise = substream(opts.seed, "teacher/noise")
-    s_drop = substream(opts.seed, "teacher/dropout")
-
-    for step in range(1, opts.steps + 1):
-        tic = time.perf_counter()
-        idx = s_batch.integers(opts.batch, 0, len(z_data) - 1)
-        z = z_data[idx]
-        cond = cond_data[idx].copy()
-        n = s_time.integers(opts.batch, 1, sched.N)
-        eps = s_noise.normal((opts.batch, net.data_dim))
-        if opts.p_uncond > 0.0:
-            cond[s_drop.uniform(opts.batch) < opts.p_uncond] = net.null_id
-        z_n = add_noise(z, n, eps, sched)
-        for p in params:
-            p.grad = None
-        with _step_guard(step), GradTape() as tape:
-            loss = diffusion_loss(net, z_n, eps, cond, sched.t_of(n))
-            tape.backward(loss)
-        loss_val = float(loss.data)
-        _check_finite(loss_val, step)
-        opt.lr = opts.lr * lr_factor(opts.lr_schedule, step, opts.steps)
-        opt.step(params)
-        if metrics is not None:
-            metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)
-        if checkpoint_cb is not None and checkpoint_every > 0 and step % checkpoint_every == 0:
-            checkpoint_cb(step)
+    _diffusion_train("teacher", net, net.trainable_params(), dataset, encoder, sched, opts,
+                     metrics=metrics, checkpoint_cb=checkpoint_cb,
+                     checkpoint_every=checkpoint_every)
     return net
+
+
+def acceleration_bundle(adapter: LoraAdapter, cfg: DistillConfig) -> AdapterBundle:
+    """The distilled adapter, with the settings that produced it as provenance."""
+    return AdapterBundle(adapter=adapter, role="acceleration",
+                         provenance={"solver": cfg.solver, "k": cfg.k,
+                                     "guidance_mode": cfg.guidance_mode})
 
 
 def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
@@ -392,15 +398,12 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
     if head is None:
         head = ConsistencyHead.for_schedule(sched)
     params = adapter.trainable_params()
-    opt = make_optimizer(cfg.optimizer, cfg.eta)
     shadow = EmaShadow(adapter)  # theta_minus <- theta
     z_data = encoder.encode(dataset.x)
-    cond_data = dataset.cond
+    batch = cfg.batch_size
 
-    s_batch = substream(cfg.seed, "distill/batch")
-    s_time = substream(cfg.seed, "distill/timestep")
-    s_noise = substream(cfg.seed, "distill/noise")
-    s_omega = substream(cfg.seed, "distill/omega")
+    s_batch, s_time, s_noise, s_omega = (substream(cfg.seed, f"distill/{tag}")
+                                         for tag in ("batch", "timestep", "noise", "omega"))
 
     n_counts = np.zeros(sched.N + 1, dtype=np.int64)
     omega_seen = [np.inf, -np.inf]
@@ -408,57 +411,41 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
     def teacher_eps(x, t, cond_ids):
         return teacher.forward(x, 0.0, cond_ids, t).data
 
-    for step in range(1, cfg.steps + 1):
-        tic = time.perf_counter()
-        batch = cfg.batch_size
+    def draw():
         idx = s_batch.integers(batch, 0, len(z_data) - 1)
-        z = z_data[idx]
-        cond = cond_data[idx]
+        cond = dataset.cond[idx]
         n = s_time.integers(batch, 1, sched.N - cfg.k)
         if cfg.guidance_mode == "fixed":
             omega = np.full(batch, cfg.omega_fixed)
         else:
             omega = cfg.omega_min + (cfg.omega_max - cfg.omega_min) * s_omega.uniform(batch)
         eps = s_noise.normal((batch, teacher.data_dim))
-        z_hi = add_noise(z, n + cfg.k, eps, sched)
-
-        with _step_guard(step):
-            z_hat = cfg_target(z_hi, n + cfg.k, n, cond, teacher.null_id, omega,
-                               teacher_eps, sched, kind=cfg.solver)
-            # stop-gradient branch: evaluated off-tape through the EMA adapter
-            target = consistency_forward(teacher, head, sched, z_hat, omega, cond, n,
-                                         adapter=shadow.adapter).data
-
-        for p in params:
-            p.grad = None
-        with _step_guard(step), GradTape() as tape:
-            f = consistency_forward(teacher, head, sched, z_hi, omega, cond,
-                                    n + cfg.k, adapter=adapter)
-            loss = consistency_distance(f, target, cfg.distance, cfg.huber_c)
-            tape.backward(loss)
-        loss_val = float(loss.data)
-        _check_finite(loss_val, step)
-        opt.lr = cfg.eta * lr_factor(cfg.lr_schedule, step, cfg.steps)
-        opt.step(params)
-        ema_update(shadow, params, cfg.mu)
-
-        n_counts += np.bincount(n, minlength=sched.N + 1)
+        z_hi = add_noise(z_data[idx], n + cfg.k, eps, sched)
+        n_counts[:] += np.bincount(n, minlength=sched.N + 1)
         omega_seen[0] = min(omega_seen[0], float(omega.min()))
         omega_seen[1] = max(omega_seen[1], float(omega.max()))
-        if metrics is not None:
-            metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)
-        if checkpoint_cb is not None and checkpoint_every > 0 and step % checkpoint_every == 0:
-            checkpoint_cb(step)
+        z_hat = cfg_target(z_hi, n + cfg.k, n, cond, teacher.null_id, omega,
+                           teacher_eps, sched, kind=cfg.solver)
+        # stop-gradient branch: evaluated off-tape through the EMA adapter
+        target = consistency_forward(teacher, head, sched, z_hat, omega, cond, n,
+                                     adapter=shadow.adapter).data
+        return z_hi, omega, cond, n + cfg.k, target
 
+    def loss_fn(b):
+        z_hi, omega, cond, n_hi, target = b
+        f = consistency_forward(teacher, head, sched, z_hi, omega, cond, n_hi, adapter=adapter)
+        return consistency_distance(f, target, cfg.distance, cfg.huber_c)
+
+    _train(cfg.steps, params, cfg.optimizer, cfg.eta, cfg.lr_schedule, draw, loss_fn,
+           after_step=lambda: ema_update(shadow, params, cfg.mu), metrics=metrics,
+           checkpoint_cb=checkpoint_cb, checkpoint_every=checkpoint_every)
     if stats is not None:
         stats["n_counts"] = n_counts
         stats["omega_min_seen"] = omega_seen[0]
         stats["omega_max_seen"] = omega_seen[1]
         stats["ema_shadow"] = shadow
         stats["adapter"] = adapter
-    return AdapterBundle(adapter=adapter, role="acceleration",
-                         provenance={"solver": cfg.solver, "k": cfg.k,
-                                     "guidance_mode": cfg.guidance_mode})
+    return acceleration_bundle(adapter, cfg)
 
 
 def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
@@ -472,37 +459,7 @@ def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dat
         if np.any(entry.b.data != 0.0):
             raise AdapterError("style fine-tuning expects a fresh adapter (B = 0)")
     teacher.set_trainable(False)
-    if opts.steps == 0:
-        return AdapterBundle(adapter=adapter, role="style", provenance={})
-    params = adapter.trainable_params()
-    opt = make_optimizer(opts.optimizer, opts.lr)
-    z_data = encoder.encode(dataset.x)
-    cond_data = dataset.cond
-
-    s_batch = substream(opts.seed, "style/batch")
-    s_time = substream(opts.seed, "style/timestep")
-    s_noise = substream(opts.seed, "style/noise")
-    s_drop = substream(opts.seed, "style/dropout")
-
-    for step in range(1, opts.steps + 1):
-        tic = time.perf_counter()
-        idx = s_batch.integers(opts.batch, 0, len(z_data) - 1)
-        z = z_data[idx]
-        cond = cond_data[idx].copy()
-        n = s_time.integers(opts.batch, 1, sched.N)
-        eps = s_noise.normal((opts.batch, teacher.data_dim))
-        if opts.p_uncond > 0.0:
-            cond[s_drop.uniform(opts.batch) < opts.p_uncond] = teacher.null_id
-        z_n = add_noise(z, n, eps, sched)
-        for p in params:
-            p.grad = None
-        with _step_guard(step), GradTape() as tape:
-            loss = diffusion_loss(teacher, z_n, eps, cond, sched.t_of(n), adapter=adapter)
-            tape.backward(loss)
-        loss_val = float(loss.data)
-        _check_finite(loss_val, step)
-        opt.lr = opts.lr * lr_factor(opts.lr_schedule, step, opts.steps)
-        opt.step(params)
-        if metrics is not None:
-            metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)
+    if opts.steps:
+        _diffusion_train("style", teacher, adapter.trainable_params(), dataset, encoder,
+                         sched, opts, adapter, metrics=metrics)
     return AdapterBundle(adapter=adapter, role="style", provenance={})

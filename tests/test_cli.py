@@ -7,16 +7,16 @@ import pytest
 
 from cdlora.cli import main
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry
-from cdlora.persist import load_adapter, load_checkpoint, save_adapter
-from cdlora.sampling_eval import read_samples
+from cdlora.persist import load_adapter, load_checkpoint, load_net, save_adapter
+from cdlora.sampling_eval import read_samples, write_samples
 from cdlora.tensor import Tensor
 
 MINI_CONFIG = {
     "seed": 3,
     "schedule": {"N": 50, "beta_max": 0.25},
     "net": {"hidden": [16, 16]},
-    "teacher": {"steps": 150, "batch": 32},
-    "distill": {"steps": 40, "batch_size": 16},
+    "teacher": {"steps": 150, "batch": 32, "checkpoint_every": 50},
+    "distill": {"steps": 40, "batch_size": 16, "checkpoint_every": 20},
     "style": {"steps": 30, "batch": 16},
     "lora": {"rank": 2},
     "dataset": {"kind": "ring8", "count": 512},
@@ -68,6 +68,39 @@ def test_full_pipeline_and_sampling(run_root, teacher_ckpt, capsys):
     out = capsys.readouterr().out
     result = json.loads(out)
     assert "mmd2" in result
+
+
+def test_step_checkpoints_load_and_match_final(run_root, teacher_ckpt):
+    # MINI_CONFIG sets teacher.checkpoint_every = 50 and distill.checkpoint_every = 20
+    teacher_run = run_root / "teacher_run"
+    for step in (50, 100, 150):
+        load_net(teacher_run / f"teacher_step{step}.ckpt")
+    final_tensors, _ = load_checkpoint(teacher_ckpt)
+    last_tensors, _ = load_checkpoint(teacher_run / "teacher_step150.ckpt")
+    assert all(np.array_equal(final_tensors[k], last_tensors[k]) for k in final_tensors)
+
+    assert main(["distill-lcm", "--config", str(run_root / "config.json"),
+                 "--teacher", str(teacher_ckpt), "--out", "d"]) == 0
+    teacher, _sched, _meta = load_net(teacher_ckpt)
+    final = load_adapter(run_root / "d" / "acceleration.ckpt", base_net=teacher)
+    for step in (20, 40):
+        bundle = load_adapter(run_root / "d" / f"acceleration_step{step}.ckpt", base_net=teacher)
+        assert bundle.role == final.role == "acceleration"
+        assert bundle.provenance == final.provenance
+        assert set(bundle.provenance) == {"solver", "k", "guidance_mode"}
+    # the step-40 checkpoint holds the final factors
+    for a, b in zip(bundle.adapter.trainable_params(), final.adapter.trainable_params()):
+        assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("count", ["0", "100"])
+def test_eval_rejects_count_outside_sample_rows(run_root, capsys, count):
+    write_samples(run_root / "eight.csv", np.zeros((8, 2)), np.zeros(8, dtype=np.int64), {})
+    assert main(["eval", "--samples", "eight.csv", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --count") and "\n" not in err
 
 
 def test_param_count_formula(run_root, capsys):

@@ -10,9 +10,7 @@ from cdlora.tensor import (
     Tensor,
     add,
     add_bias,
-    backward,
     concat_cols,
-    elementwise,
     embed_rows,
     grad_check,
     matmul,
@@ -56,7 +54,7 @@ def test_matmul_gradient_vs_finite_differences():
 
 
 def test_add_example():
-    out = elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+    out = add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
 
@@ -109,14 +107,6 @@ def test_backward_consumed_tape():
         tape.backward(loss)
         with pytest.raises(TapeError):
             tape.backward(loss)
-
-
-def test_module_level_backward_finds_tape():
-    x = Tensor([2.0], requires_grad=True)
-    with GradTape():
-        loss = sum_all(square(x))
-    backward(loss)
-    np.testing.assert_array_equal(x.grad, [4.0])
 
 
 def test_unreachable_leaf_gets_zero():
@@ -238,12 +228,3 @@ def test_nested_tapes_rejected():
         with pytest.raises(TapeError):
             with GradTape():
                 pass
-
-
-def test_elementwise_dispatch_arity():
-    with pytest.raises(ShapeError):
-        elementwise("silu", Tensor([1.0]), Tensor([1.0]))
-    with pytest.raises(ShapeError):
-        elementwise("add", Tensor([1.0]))
-    with pytest.raises(ValueError):
-        elementwise("exp", Tensor([1.0]))
