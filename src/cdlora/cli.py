@@ -230,16 +230,22 @@ def cmd_merge_lora(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    count = args.count
+    if count < 1:
+        raise ValueError(f"--count {count} must be at least 1")
     ckpt = _resolve(args.ckpt)
     net, sched, meta = load_net(ckpt)
     bundle = load_adapter(_resolve(args.adapter), base_net=net) if args.adapter else None
     adapter = bundle.adapter if bundle else None
     head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", 0.5))
-    count = args.count
     if args.cond == "balanced":
         cond = np.arange(count, dtype=np.int64) % net.num_conditions
     else:
-        cond = np.full(count, int(args.cond), dtype=np.int64)
+        c = int(args.cond)
+        if not 0 <= c < net.num_conditions:
+            raise ValueError(f"--cond {c} outside [0, {net.num_conditions}), the "
+                             f"checkpoint's condition ids")
+        cond = np.full(count, c, dtype=np.int64)
     if args.sampler == "lcm":
         steps = StepSchedule.evenly_spaced(args.steps, sched.N)
         samples = lcm_multistep_sample(net, head, sched, steps, args.omega, cond,

@@ -1,9 +1,10 @@
 """Toy 2-D datasets with per-sample condition ids.
 
 All generators draw from named sub-streams of a single seed, so a dataset is
-reproducible from (kind, params, seed, count) alone. Coordinates are kept
-roughly in unit range (the consistency head's data-scale constant assumes
-this).
+reproducible from (kind, params, seed, count) alone. Coordinates are not
+unit-range: ring8 has radius 2 and the checkerboard spans [-2, 2], while the
+consistency head's data-scale constant defaults to sigma_data = 0.5 (see
+ROADMAP.md, known defect 3, for what that mismatch may cost).
 """
 
 from __future__ import annotations

@@ -125,11 +125,15 @@ def ddim_sample(
         z = cfg_target(z, int(hi), int(lo), cond_arr, net.null_id, omega, eps_fn, sched, kind=kind)
     n_last = int(grid[-1])
     omega_arr = np.broadcast_to(np.asarray(omega, dtype=np.float64), (count,))
-    t_last = np.full(count, sched.t_of(n_last))
-    eps_c = eps_fn(z, t_last, cond_arr)
+    t_last = sched.t_of(n_last)
     if np.any(omega_arr > 0.0):
-        eps_u = eps_fn(z, t_last, np.full(count, net.null_id, dtype=np.int64))
+        # both branches in one pass of 2 * count rows, as in cfg_target
+        ids = np.concatenate([cond_arr, np.full(count, net.null_id, dtype=np.int64)])
+        eps = eps_fn(np.concatenate([z, z]), np.full(2 * count, t_last), ids)
+        eps_c, eps_u = eps[:count], eps[count:]
         eps_c = eps_c + omega_arr[:, None] * (eps_c - eps_u)
+    else:
+        eps_c = eps_fn(z, np.full(count, t_last), cond_arr)
     return (z - sched.sigma(n_last) * eps_c) / sched.alpha(n_last)
 
 

@@ -129,19 +129,24 @@ def cfg_target(z, n_hi, n_lo, cond, null_cond, omega, eps_fn, sched: NoiseSchedu
     predictors give a w-independent result exactly.
 
     eps_fn(z, t, cond_ids) -> eps; omega is a scalar or one value per row.
+    With w > 0 on any row, both branches run as one solve over 2m stacked
+    rows (condition ids, then null ids); every solver is row-wise, so each
+    half equals its own m-row solve.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z, hi, lo = _as_rows(z, n_hi, n_lo)
     m = z.shape[0]
     omega_arr = np.broadcast_to(np.asarray(omega, dtype=np.float64), (m,))
     if np.any(omega_arr < 0.0):
         raise ScheduleError("guidance scale must be non-negative")
     cond_arr = np.broadcast_to(np.asarray(cond, dtype=np.int64), (m,))
 
-    psi_c = solver_increment(kind, z, n_hi, n_lo, lambda x, t: eps_fn(x, t, cond_arr), sched)
     if not np.any(omega_arr > 0.0):
+        psi_c = solver_increment(kind, z, hi, lo, lambda x, t: eps_fn(x, t, cond_arr), sched)
         return z + psi_c
-    null_arr = np.full(m, null_cond, dtype=np.int64)
-    psi_u = solver_increment(kind, z, n_hi, n_lo, lambda x, t: eps_fn(x, t, null_arr), sched)
+    ids = np.concatenate([cond_arr, np.full(m, null_cond, dtype=np.int64)])
+    psi = solver_increment(kind, np.concatenate([z, z]), np.concatenate([hi, hi]),
+                           np.concatenate([lo, lo]), lambda x, t: eps_fn(x, t, ids), sched)
+    psi_c, psi_u = psi[:m], psi[m:]
     return z + psi_c + omega_arr[:, None] * (psi_c - psi_u)
 
 

@@ -267,24 +267,31 @@ def neg(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # branch on sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(min(x, 0)) / (1 + exp(-|x|)): no exponent is positive, so nothing
+    # overflows, and both signs keep full relative precision (the tanh form
+    # 0.5 * (1 + tanh(x / 2)) loses it for x < 0)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= den
     return out
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x); backward sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
     x = a.data
-    sig = _sigmoid(x)
+    # far-negative x underflows towards 0, which is the exact limit
+    with np.errstate(under="ignore"):
+        sig = _sigmoid(x)
+        y = x * sig
 
     def bwd(g):
         return (g * (sig * (1.0 + x * (1.0 - sig))),)
 
-    return _record(x * sig, (a,), bwd)
+    return _record(y, (a,), bwd)
 
 
 def square(a: Tensor) -> Tensor:

@@ -309,6 +309,10 @@ def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str
         opt.step(params)
         if after_step is not None:
             after_step()
+        # drop the step's graph here, so the next draw reuses its memory;
+        # dropped before the optimizer step instead, it lets glibc trim and
+        # re-fault the heap top on every step
+        del tape
         if metrics is not None:
             metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)
         if checkpoint_cb is not None and checkpoint_every > 0 and step % checkpoint_every == 0:

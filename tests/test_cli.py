@@ -103,6 +103,20 @@ def test_eval_rejects_count_outside_sample_rows(run_root, capsys, count):
     assert err.startswith("error: --count") and "\n" not in err
 
 
+# --cond 8 is the null id of the 8-condition ring8 teacher, not a condition
+@pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-3"),
+                                        ("--cond", "8"), ("--cond", "-1")])
+def test_sample_rejects_bad_count_or_cond(run_root, teacher_ckpt, capsys, flag, value):
+    capsys.readouterr()
+    assert main(["sample", "--ckpt", str(teacher_ckpt), "--steps", "2", "--count", "4",
+                 flag, value, "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"error: {flag}") and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
+
+
 def test_param_count_formula(run_root, capsys):
     # single 4x6 layer at rank 2 -> 2 * (4 + 6) = 20
     adapter = LoraAdapter({

@@ -4,7 +4,7 @@ import pytest
 from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.rng import substream
 from cdlora.schedule import make_schedule
-from cdlora.solvers import GaussianOracle, cfg_target, oracle_flow
+from cdlora.solvers import GaussianOracle, cfg_target, oracle_flow, solver_increment
 from cdlora.sampling_eval import (
     SamplingError,
     StepSchedule,
@@ -151,6 +151,47 @@ def test_ddim_sample_unguided_equals_omega_zero():
     t1 = np.full(64, sched.t_of(int(grid[-1])))
     eps = eps_fn(z, t1, cond)
     manual = (z - sched.sigma(int(grid[-1])) * eps) / sched.alpha(int(grid[-1]))
+    np.testing.assert_array_equal(guided, manual)
+
+
+class CondShiftNet(OracleNet):
+    """Oracle eps plus a per-condition shift, so the guidance branches differ."""
+
+    def __init__(self, oracle, sched, shifts):
+        super().__init__(oracle, sched, num_conditions=len(shifts) - 1)
+        self.shifts = np.asarray(shifts, dtype=np.float64)
+
+    def forward(self, z, omega, cond, t, adapter=None):
+        out = super().forward(z, omega, cond, t)
+        out.data = out.data + self.shifts[np.broadcast_to(cond, (len(out.data),))]
+        return out
+
+
+def test_ddim_sample_guided_equals_two_pass_reference():
+    sched = make_schedule(50, 1e-4, 0.35)
+    oracle = GaussianOracle(np.array([1.0, 1.0]), 0.7)
+    net = CondShiftNet(oracle, sched, [[0.2, -0.1], [-0.3, 0.4], [0.05, 0.0]])
+    count = 64
+    cond = np.arange(count) % 2
+    omega = np.linspace(0.5, 6.0, count)
+    guided = ddim_sample(net, sched, 20, omega, cond, count, seed=23)
+    # hand composition with each guidance branch in its own pass
+    grid = np.unique(np.linspace(1, 50, 21).round().astype(int))[::-1]
+    z = substream(23, "sample/ddim").normal((count, 2))
+    null = np.full(count, net.null_id, dtype=np.int64)
+
+    def branch(ids):
+        return lambda x, t: net.forward(x, 0.0, ids, t).data
+
+    for hi, lo in zip(grid[:-1], grid[1:]):
+        psi_c = solver_increment("ddim", z, int(hi), int(lo), branch(cond), sched)
+        psi_u = solver_increment("ddim", z, int(hi), int(lo), branch(null), sched)
+        z = z + psi_c + omega[:, None] * (psi_c - psi_u)
+    n1 = int(grid[-1])
+    t1 = np.full(count, sched.t_of(n1))
+    eps_c, eps_u = branch(cond)(z, t1), branch(null)(z, t1)
+    eps = eps_c + omega[:, None] * (eps_c - eps_u)
+    manual = (z - sched.sigma(n1) * eps) / sched.alpha(n1)
     np.testing.assert_array_equal(guided, manual)
 
 

@@ -198,6 +198,31 @@ def test_cfg_guidance_pushes_along_branch_gap():
     np.testing.assert_allclose(t2 - t1, t1 - t0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["ddim", "dpm2", "ddim-multi"])
+def test_cfg_one_pass_equals_two_pass_reference(kind):
+    sched = make_schedule(50)
+    stream = substream(13, "cfg")
+    m = 7
+    z = stream.normal((m, 2))
+    cond = np.arange(m) % 3
+    n_lo = np.array([1, 5, 10, 20, 20, 33, 40])
+    n_hi = n_lo + np.array([5, 3, 7, 1, 0, 9, 4])
+    omega = np.array([0.0, 0.5, 2.0, 7.5, 1.0, 14.0, 3.0])
+    shift = stream.normal((4, 2))  # one row per condition id 0..2 and the null id 3
+    rows_seen = []
+
+    def eps_fn(x, t, cond_ids):
+        rows_seen.append(len(x))
+        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(x),))
+        return 0.2 * x + shift[cond_ids] * (1.0 + t_arr)[:, None]
+
+    out = cfg_target(z, n_hi, n_lo, cond, 3, omega, eps_fn, sched, kind=kind)
+    assert rows_seen and set(rows_seen) == {2 * m}
+    psi_c = solver_increment(kind, z, n_hi, n_lo, lambda x, t: eps_fn(x, t, cond), sched)
+    psi_u = solver_increment(kind, z, n_hi, n_lo, lambda x, t: eps_fn(x, t, np.full(m, 3)), sched)
+    assert np.array_equal(out, z + psi_c + omega[:, None] * (psi_c - psi_u))
+
+
 def test_cfg_rejects_negative_omega():
     sched = make_schedule(50)
     with pytest.raises(ScheduleError):

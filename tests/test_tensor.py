@@ -8,6 +8,7 @@ from cdlora.tensor import (
     ShapeError,
     TapeError,
     Tensor,
+    _sigmoid,
     add,
     add_bias,
     concat_cols,
@@ -66,6 +67,26 @@ def test_silu_gradient_at_one():
     x = Tensor([1.0], requires_grad=True)
     rel = grad_check(lambda: sum_all(silu(x)), [x], h=1e-5)
     assert rel < 1e-6
+
+
+def test_silu_edge_values_raise_nothing():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16_001), [-1e300, 1e300]])
+    with np.errstate(all="raise"):
+        out = silu(Tensor(x)).data
+    sig = _sigmoid(x)
+    assert np.all((sig >= 0.0) & (sig <= 1.0))
+    assert np.all(np.isfinite(out))
+    with np.errstate(over="ignore", under="ignore"):
+        ref = 1.0 / (1.0 + np.exp(-x))
+    finite = np.isfinite(ref)
+    assert np.max(np.abs(sig[finite] - ref[finite])) <= 4e-16
+
+
+@pytest.mark.parametrize("center", [-30.0, 30.0])
+def test_silu_gradient_in_the_tails(center):
+    # sigmoid(-30) ~ 9e-14 needs full relative precision for this to hold
+    x = Tensor(center + np.linspace(-0.5, 0.5, 6), requires_grad=True)
+    assert grad_check(lambda: sum_all(silu(x)), [x]) <= 1e-4
 
 
 def test_no_broadcast_beyond_scalar():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from cdlora.rng import substream
 from cdlora.schedule import make_schedule
 from cdlora.sampling_eval import mmd2
 from cdlora.solvers import cfg_target
-from cdlora.tensor import GradTape, Tensor
+from cdlora.tensor import GradTape, Tensor, matmul, mean_all, square
 from cdlora.training import (
     Adam,
     DistillConfig,
@@ -19,6 +21,7 @@ from cdlora.training import (
     MetricsLog,
     Sgd,
     TrainOpts,
+    _train,
     consistency_distance,
     ema_update,
     finetune_style_lora,
@@ -165,6 +168,24 @@ def test_divergence_reports_step(phase):
     # step before it logged one row, and the divergent step logged none
     assert err.value.step > 1
     assert [row[0] for row in metrics.rows] == list(range(1, err.value.step))
+
+
+def test_step_graph_freed_before_next_draw():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    graphs, alive_at_draw = [], []
+
+    def draw():
+        alive_at_draw.append(sum(ref() is not None for ref in graphs))
+        return np.ones((3, 2))
+
+    def loss_fn(x):
+        hidden = matmul(Tensor(x), w)
+        graphs.append(weakref.ref(hidden))
+        return mean_all(square(hidden))
+
+    _train(3, [w], "sgd", 0.1, "constant", draw, loss_fn)
+    assert alive_at_draw == [0, 0, 0]
+    assert all(ref() is None for ref in graphs)
 
 
 def test_training_loss_decreases(trained_teacher):
