@@ -4,7 +4,8 @@ All generators draw from named sub-streams of a single seed, so a dataset is
 reproducible from (kind, params, seed, count) alone. Coordinates are not
 unit-range: ring8 has radius 2 and the checkerboard spans [-2, 2], while the
 consistency head's data-scale constant defaults to sigma_data = 0.5 (see
-ROADMAP.md, known defect 3, for what that mismatch may cost).
+ROADMAP.md, "Known defect: criterion 11" and direction F, for what the head's
+parameterisation may cost).
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def single_gaussian(count: int, seed: int, mean=(0.0, 0.0), s_d: float = 1.0) ->
 
 def rotated(base: Dataset2D, angle_deg: float) -> Dataset2D:
     """Rotate a dataset about the origin; conditions are inherited."""
+    if not np.isfinite(angle_deg):
+        raise ValueError(f"angle_deg must be finite, got {angle_deg}")
     theta = np.deg2rad(angle_deg)
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     params = dict(base.params)

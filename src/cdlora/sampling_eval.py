@@ -108,12 +108,12 @@ def ddim_sample(
 ) -> np.ndarray:
     """Many-step guided baseline: compose solver targets from noise down to t_1.
 
-    The grid spans [1, N] inclusive; the returned batch is the guided x0
-    extraction at the final timestep.
+    The grid spans [1, N] inclusive, so S may not exceed N; the returned batch
+    is the guided x0 extraction at the final timestep.
     """
-    if S < 1:
-        raise SamplingError(f"need S >= 1, got {S}")
-    grid = np.unique(np.linspace(1, sched.N, min(S, sched.N) + 1).round().astype(int))[::-1]
+    if not 1 <= S <= sched.N:
+        raise SamplingError(f"DDIM steps {S} outside [1, N={sched.N}], the schedule's grid")
+    grid = np.unique(np.linspace(1, sched.N, S + 1).round().astype(int))[::-1]
     stream = substream(seed, "sample/ddim")
     z = stream.normal((count, net.data_dim))
     cond_arr = np.broadcast_to(np.asarray(cond, dtype=np.int64), (count,))
@@ -144,16 +144,42 @@ def ddim_sample(
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
-    d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d, 0.0)
+    d = np.add.outer(aa, bb)
+    ab = a @ b.T
+    ab *= 2.0
+    d -= ab
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def _finite_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise SamplingError("samples must be finite, got NaN or Inf")
+    return x, y
+
+
+def _median_sq(d_xx: np.ndarray, d_yy: np.ndarray, d_xy: np.ndarray) -> float:
+    """Median squared distance over the distinct pairs of the pooled sample.
+
+    The pairs are the upper triangles of the within-set blocks plus the whole
+    cross block, the same multiset as the pooled matrix's upper triangle.
+    """
+    pairs = np.concatenate([d_xy.ravel()] + [d[i, i + 1:] for d in (d_xx, d_yy)
+                                             for i in range(len(d) - 1)])
+    k = len(pairs) // 2
+    pairs.partition(k)
+    if len(pairs) % 2:
+        return float(pairs[k])
+    # the k smallest sit below index k, so their max is the lower middle value
+    return float((pairs[:k].max() + pairs[k]) / 2.0)
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample."""
-    z = np.concatenate([x, y], axis=0)
-    d = _sq_dists(z, z)
-    off = d[np.triu_indices(len(z), k=1)]
-    return float(np.sqrt(np.median(off)))
+    x, y = _finite_samples(x, y)
+    return float(np.sqrt(_median_sq(_sq_dists(x, x), _sq_dists(y, y), _sq_dists(x, y))))
 
 
 def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
@@ -162,20 +188,27 @@ def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     For equal sample counts the paired U-statistic is used (the cross term
     drops matched pairs too), so identical sample sets score exactly zero;
     for unequal counts the standard unbiased estimator applies. Bandwidth is
-    the median heuristic unless a fixed value is given.
+    the median heuristic unless a fixed value is given: the median distance
+    over the distinct pairs of the pooled sample, taken from the same three
+    distance blocks the kernels are built from. NaN or Inf samples raise
+    SamplingError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _finite_samples(x, y)
     m, n = len(x), len(y)
     if m < 2 or n < 2:
         raise SamplingError("mmd2 needs at least 2 samples per side")
-    bw = median_bandwidth(x, y) if bandwidth == "median" else float(bandwidth)
+    d_xx, d_yy, d_xy = _sq_dists(x, x), _sq_dists(y, y), _sq_dists(x, y)
+    if bandwidth == "median":
+        bw = float(np.sqrt(_median_sq(d_xx, d_yy, d_xy)))
+    else:
+        bw = float(bandwidth)
     if bw <= 0.0:
         raise SamplingError(f"bandwidth must be positive, got {bw}")
     inv = -0.5 / (bw * bw)
-    k_xx = np.exp(inv * _sq_dists(x, x))
-    k_yy = np.exp(inv * _sq_dists(y, y))
-    k_xy = np.exp(inv * _sq_dists(x, y))
+    for d in (d_xx, d_yy, d_xy):  # squared distances become kernels in place
+        d *= inv
+        np.exp(d, out=d)
+    k_xx, k_yy, k_xy = d_xx, d_yy, d_xy
     term_x = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
     term_y = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
     if m == n:

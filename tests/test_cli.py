@@ -117,6 +117,35 @@ def test_sample_rejects_bad_count_or_cond(run_root, teacher_ckpt, capsys, flag, 
     assert not (run_root / "bad.csv").exists()
 
 
+def test_sample_ddim_rejects_steps_above_N(run_root, teacher_ckpt, capsys):
+    capsys.readouterr()
+    assert main(["sample", "--ckpt", str(teacher_ckpt), "--sampler", "ddim",
+                 "--steps", "500", "--count", "4", "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "500" in err and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
+
+
+# an overflowing angle parses as inf; a "nan" cell parses as a NaN sample
+@pytest.mark.parametrize("case", ["angle", "sample"])
+def test_eval_rejects_non_finite_input(run_root, capsys, recwarn, case):
+    x = np.zeros((8, 2))
+    args = ["eval", "--samples", "eight.csv"]
+    if case == "angle":
+        args += ["--angle-deg", "1e400"]
+    else:
+        x[3, 0] = np.nan
+    write_samples(run_root / "eight.csv", x, np.zeros(8, dtype=np.int64), {})
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "finite" in err and "\n" not in err
+    assert len(recwarn) == 0
+
+
 def test_param_count_formula(run_root, capsys):
     # single 4x6 layer at rank 2 -> 2 * (4 + 6) = 20
     adapter = LoraAdapter({

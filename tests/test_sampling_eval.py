@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cdlora.datasets import make_dataset
 from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.rng import substream
 from cdlora.schedule import make_schedule
@@ -133,6 +136,14 @@ def test_ddim_sample_full_grid_matches_oracle_flow():
     assert rel < 1e-2
 
 
+def test_ddim_sample_rejects_steps_above_N():
+    sched = make_schedule(50)
+    net = OracleNet(GaussianOracle(np.array([0.0, 0.0]), 1.0), sched)
+    for S in (0, 51, 500):
+        with pytest.raises(SamplingError, match="DDIM steps"):
+            ddim_sample(net, sched, S, 0.0, 0, 4, seed=1)
+
+
 def test_ddim_sample_unguided_equals_omega_zero():
     sched = make_schedule(50, 1e-4, 0.35)
     oracle = GaussianOracle(np.array([1.0, 1.0]), 0.7)
@@ -257,10 +268,94 @@ def test_mmd2_validation():
         mmd2(np.zeros((5, 2)), np.zeros((5, 2)), bandwidth=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_metrics_reject_non_finite_samples(bad, side):
+    x = substream(52, "x").normal((50, 2))
+    y = substream(53, "y").normal((50, 2))
+    (x if side == "x" else y)[17, 1] = bad
+    with pytest.raises(SamplingError, match="finite"):
+        mmd2(x, y)
+    with pytest.raises(SamplingError, match="finite"):
+        mmd2(x, y, bandwidth=0.3)
+    with pytest.raises(SamplingError, match="finite"):
+        median_bandwidth(x, y)
+
+
 def test_median_bandwidth_positive():
     x = substream(47, "x").normal((50, 2))
     y = substream(48, "y").normal((60, 2))
     assert median_bandwidth(x, y) > 0.0
+
+
+def _pooled_sq_dists(a, b):
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    d = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0)
+
+
+def _pooled_median_bandwidth(x, y):
+    """Reference: np.median over the upper triangle of the pooled matrix."""
+    z = np.concatenate([x, y], axis=0)
+    d = _pooled_sq_dists(z, z)
+    off = d[np.triu_indices(len(z), k=1)]
+    return float(np.sqrt(np.median(off)))
+
+
+def _pooled_mmd2(x, y, bw):
+    """Reference: the estimator with each kernel block built out of place."""
+    m, n = len(x), len(y)
+    inv = -0.5 / (bw * bw)
+    k_xx = np.exp(inv * _pooled_sq_dists(x, x))
+    k_yy = np.exp(inv * _pooled_sq_dists(y, y))
+    k_xy = np.exp(inv * _pooled_sq_dists(x, y))
+    term_x = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
+    term_y = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
+    if m == n:
+        cross = (k_xy.sum() - np.trace(k_xy)) / (m * (m - 1))
+    else:
+        cross = k_xy.sum() / (m * n)
+    return float(term_x + term_y - 2.0 * cross)
+
+
+# pooled pair counts: 2000x2000, 2000x1500 and 300x301 even; 1999x1999, 7x7 and 5x6 odd
+@pytest.mark.parametrize("m,n", [(2000, 2000), (2000, 1500), (1999, 1999),
+                                 (300, 301), (7, 7), (5, 6)])
+def test_mmd2_and_bandwidth_equal_pooled_reference(m, n):
+    stream = substream(54, f"pooled/{m}x{n}")
+    x = 1.3 * stream.normal((m, 2))
+    y = stream.normal((n, 2)) + 0.4
+    bw = _pooled_median_bandwidth(x, y)
+    assert median_bandwidth(x, y) == bw
+    assert mmd2(x, y) == _pooled_mmd2(x, y, bw)
+    assert mmd2(x, y, bandwidth=0.3) == _pooled_mmd2(x, y, 0.3)
+
+
+def test_mmd2_equals_pooled_reference_on_ring8_and_identical_sets():
+    x = make_dataset("ring8", 2000, 1).x
+    y = make_dataset("rotated", 2000, 2, base="ring8", angle_deg=22.5).x
+    assert mmd2(x, y) == _pooled_mmd2(x, y, _pooled_median_bandwidth(x, y))
+    z = substream(55, "same").normal((300, 2))
+    assert mmd2(z, z.copy()) == _pooled_mmd2(z, z.copy(), _pooled_median_bandwidth(z, z))
+
+
+def test_mmd2_self_is_exactly_zero_at_full_size():
+    x = substream(56, "self").normal((2000, 2))
+    assert mmd2(x, x) == 0.0
+
+
+def test_mmd2_peak_memory_at_full_size():
+    # three 2000x2000 float64 blocks are 96 MB; the pooled 4000^2 build peaked at 320 MB
+    x = substream(57, "x").normal((2000, 2))
+    y = substream(58, "y").normal((2000, 2))
+    tracemalloc.start()
+    try:
+        mmd2(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200e6
 
 
 def test_moments_error_degenerate_cases():
