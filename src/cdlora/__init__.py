@@ -4,7 +4,7 @@ and recombine adapters by pure weight arithmetic."""
 
 from cdlora.config import ConfigError, load_config
 from cdlora.datasets import Dataset2D, make_dataset
-from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward, forward_eps
+from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
 from cdlora.lora import (
     AdapterBundle,
     AdapterError,

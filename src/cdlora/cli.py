@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cdlora.config import ConfigError, effective_json, load_config
+from cdlora.config import DEFAULTS, ConfigError, effective_json, load_config
 from cdlora.datasets import make_dataset
-from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
+from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet, consistency_forward
 from cdlora.lora import attach, combine, count_trainable, merge
 from cdlora.persist import (
     load_adapter,
@@ -75,17 +75,8 @@ def _build_dataset(cfg: dict):
 
 
 def _build_net(cfg: dict) -> DenoiserNet:
-    net_cfg = cfg["net"]
-    return DenoiserNet(
-        data_dim=2,
-        hidden=tuple(net_cfg["hidden"]),
-        time_dim=net_cfg["time_dim"],
-        guidance_dim=net_cfg["guidance_dim"],
-        cond_dim=net_cfg["cond_dim"],
-        num_conditions=net_cfg["num_conditions"],
-        omega_ref=net_cfg["omega_ref"],
-        stream=substream(cfg["seed"], "init/net"),
-    )
+    arch = {k: v for k, v in cfg["net"].items() if k != "sigma_data"}
+    return DenoiserNet(data_dim=2, **arch, stream=substream(cfg["seed"], "init/net"))
 
 
 def _attach_adapter(net, cfg):
@@ -222,7 +213,7 @@ def cmd_merge_lora(args) -> int:
     merged = merge(base, bundle.adapter)
     out = _resolve(args.out)
     save_net(out, merged, sched, meta["schedule"],
-             {"sigma_data": meta.get("sigma_data", 0.5),
+             {"sigma_data": meta.get("sigma_data", SIGMA_DATA),
               "merged_from": {"base": str(args.base), "adapter": str(args.adapter),
                               "role": bundle.role, "provenance": bundle.provenance}})
     _echo({"command": "merge-lora", "out": str(out), "role": bundle.role})
@@ -237,7 +228,7 @@ def cmd_sample(args) -> int:
     net, sched, meta = load_net(ckpt)
     bundle = load_adapter(_resolve(args.adapter), base_net=net) if args.adapter else None
     adapter = bundle.adapter if bundle else None
-    head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", 0.5))
+    head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", SIGMA_DATA))
     if args.cond == "balanced":
         cond = np.arange(count, dtype=np.int64) % net.num_conditions
     else:
@@ -299,6 +290,10 @@ def cmd_param_count(args) -> int:
 def cmd_gradcheck(args) -> int:
     """Finite-difference check of the distillation loss over adapter factors."""
     hidden = tuple(int(w) for w in args.hidden.split(",")) if args.hidden else (64, 64)
+    if args.batch < 1:
+        raise ValueError(f"--batch {args.batch} must be at least 1")
+    if min(hidden) < 1:
+        raise ValueError(f"--hidden {args.hidden}: every width must be at least 1")
     tic = time.perf_counter()
     sched = make_schedule(50)
     net = DenoiserNet(data_dim=2, hidden=hidden, num_conditions=8,
@@ -379,8 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("combine-lora", help="linearly combine style and acceleration adapters")
     p.add_argument("--style", required=True)
     p.add_argument("--accel", required=True)
-    p.add_argument("--l1", type=float, default=0.8, help="style weight (default 0.8)")
-    p.add_argument("--l2", type=float, default=1.0, help="acceleration weight (default 1.0)")
+    p.add_argument("--l1", type=float, default=DEFAULTS["combine"]["lambda1"],
+                   help="style weight (default %(default)s)")
+    p.add_argument("--l2", type=float, default=DEFAULTS["combine"]["lambda2"],
+                   help="acceleration weight (default %(default)s)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_combine_lora)
 
@@ -393,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw samples from a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--adapter", default=None)
-    p.add_argument("--sampler", choices=("lcm", "ddim"), default="lcm")
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--omega", type=float, default=7.5)
-    p.add_argument("--count", type=int, default=2000)
+    sample = DEFAULTS["sample"]
+    p.add_argument("--sampler", choices=("lcm", "ddim"), default=sample["sampler"])
+    p.add_argument("--steps", type=int, default=sample["steps"])
+    p.add_argument("--omega", type=float, default=sample["omega"])
+    p.add_argument("--count", type=int, default=sample["count"])
     p.add_argument("--cond", default="balanced", help='condition id or "balanced"')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--out", required=True, help="samples CSV path")
     p.set_defaults(func=cmd_sample)
 

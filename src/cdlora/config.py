@@ -9,60 +9,42 @@ artifacts.
 from __future__ import annotations
 
 import copy
+import inspect
 import json
+from dataclasses import fields
 from pathlib import Path
+
+from cdlora.denoiser import SIGMA_DATA, DenoiserNet
+from cdlora.schedule import make_schedule
+from cdlora.training import DistillConfig, TrainOpts
 
 
 class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+def _signature_defaults(fn, skip=()) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty and name not in skip}
+
+
+def _field_defaults(cls) -> dict:
+    """A dataclass's field defaults bar the run seed, which the config holds once."""
+    return {f.name: f.default for f in fields(cls) if f.name != "seed"}
+
+
+# each default is stated where the code defines it: the schedule's betas in
+# make_schedule, the architecture in DenoiserNet's constructor (data_dim is
+# fixed by the 2-D datasets), training in TrainOpts and DistillConfig
+_NET = _signature_defaults(DenoiserNet, skip=("data_dim", "stream"))
+
 DEFAULTS = {
     "seed": 0,
-    "schedule": {"N": 50, "beta_min": 1e-4, "beta_max": 0.05},
-    "net": {
-        "hidden": [128, 128, 128],
-        "time_dim": 16,
-        "guidance_dim": 8,
-        "cond_dim": 8,
-        "num_conditions": 8,
-        "omega_ref": 10.0,
-        "sigma_data": 0.5,
-    },
-    "teacher": {
-        "steps": 20_000,
-        "lr": 1e-3,
-        "batch": 256,
-        "p_uncond": 0.1,
-        "optimizer": "adam",
-        "lr_schedule": "cosine",
-        "checkpoint_every": 0,
-    },
-    "style": {
-        "steps": 5_000,
-        "lr": 1e-3,
-        "batch": 256,
-        "p_uncond": 0.1,
-        "optimizer": "adam",
-        "lr_schedule": "cosine",
-    },
-    "distill": {
-        "eta": 3e-4,
-        "mu": 0.95,
-        "k": 5,
-        "guidance_mode": "fixed",
-        "omega_fixed": 7.5,
-        "omega_min": 2.0,
-        "omega_max": 14.0,
-        "distance": "l2",
-        "huber_c": 0.01,
-        "solver": "ddim",
-        "steps": 10_000,
-        "batch_size": 256,
-        "optimizer": "adam",
-        "lr_schedule": "constant",
-        "checkpoint_every": 0,
-    },
+    "schedule": {"N": 50, **_signature_defaults(make_schedule)},
+    "net": {**_NET, "hidden": list(_NET["hidden"]), "sigma_data": SIGMA_DATA},
+    "teacher": {**_field_defaults(TrainOpts), "checkpoint_every": 0},
+    "style": {**_field_defaults(TrainOpts), "steps": 5_000},
+    "distill": {**_field_defaults(DistillConfig), "checkpoint_every": 0},
     "lora": {"rank": 8, "scale": 1.0, "targets": None},
     "sample": {"steps": 4, "omega": 7.5, "count": 2000, "sampler": "lcm"},
     "combine": {"lambda1": 0.8, "lambda2": 1.0},

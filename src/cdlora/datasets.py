@@ -3,7 +3,7 @@
 All generators draw from named sub-streams of a single seed, so a dataset is
 reproducible from (kind, params, seed, count) alone. Coordinates are not
 unit-range: ring8 has radius 2 and the checkerboard spans [-2, 2], while the
-consistency head's data-scale constant defaults to sigma_data = 0.5 (see
+consistency head's data-scale constant defaults to denoiser.SIGMA_DATA (see
 ROADMAP.md, "Known defect: criterion 11" and direction F, for what the head's
 parameterisation may cost).
 """

@@ -11,6 +11,7 @@ identifiers that the adapter and checkpoint modules key off.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ from cdlora.tensor import (
     sub,
     transpose,
 )
+
+# data-scale constant of the consistency head's c_skip/c_out, taken from
+# Consistency Models (Song et al., 2023, arXiv 2303.01469)
+SIGMA_DATA = 0.5
 
 
 def sinusoidal_features(x, dim: int) -> np.ndarray:
@@ -106,16 +111,17 @@ class DenoiserNet:
     def trainable_params(self) -> list[Tensor]:
         return [p for p in self.params.values() if p.requires_grad]
 
+    @classmethod
+    def arch_fields(cls) -> list[str]:
+        """Architecture fields: the constructor's parameters bar the init stream."""
+        return [name for name in inspect.signature(cls).parameters if name != "stream"]
+
+    def arch(self) -> dict:
+        """Constructor arguments that rebuild this architecture."""
+        return {name: getattr(self, name) for name in self.arch_fields()}
+
     def clone(self) -> "DenoiserNet":
-        twin = DenoiserNet(
-            data_dim=self.data_dim,
-            hidden=self.hidden,
-            time_dim=self.time_dim,
-            guidance_dim=self.guidance_dim,
-            cond_dim=self.cond_dim,
-            num_conditions=self.num_conditions,
-            omega_ref=self.omega_ref,
-        )
+        twin = DenoiserNet(**self.arch())
         for name, p in self.params.items():
             twin.params[name] = Tensor(p.data.copy(), requires_grad=p.requires_grad)
         return twin
@@ -163,11 +169,6 @@ class DenoiserNet:
         return h
 
 
-def forward_eps(net: DenoiserNet, sched: NoiseSchedule, z, omega, cond, n, adapter=None) -> Tensor:
-    """eps_theta(z, omega, c, t_n) at discrete timestep index n (1-based)."""
-    return net.forward(z, omega, cond, sched.t_of(n), adapter=adapter)
-
-
 @dataclass(frozen=True)
 class ConsistencyHead:
     """Skip/out coefficients that pin f(z, t_min) = z by construction.
@@ -181,7 +182,7 @@ class ConsistencyHead:
     t_min: float
 
     @classmethod
-    def for_schedule(cls, sched: NoiseSchedule, sigma_data: float = 0.5) -> "ConsistencyHead":
+    def for_schedule(cls, sched: NoiseSchedule, sigma_data: float = SIGMA_DATA) -> "ConsistencyHead":
         return cls(sigma_data=sigma_data, t_min=sched.t_min)
 
     def coeffs(self, t):

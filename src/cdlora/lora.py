@@ -51,7 +51,7 @@ class LoraAdapter:
         return list(self.entries.keys())
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all factors, for EMA shadows and checkpoints."""
+        """Copies of all factors, keyed as checkpoint tensors."""
         out = {}
         for name, e in self.entries.items():
             out[f"{name}.lora_A"] = e.a.data.copy()

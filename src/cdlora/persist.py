@@ -86,10 +86,19 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     if not manifest_path.exists():
         raise CheckpointError(f"no manifest.json under {path}")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise CorruptionError(f"{manifest_path} is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise CorruptionError(f"{manifest_path} holds a JSON {type(manifest).__name__}, "
+                              "not an object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"checkpoint format version {version}, supported: {FORMAT_VERSION}")
+    for key in ("tensors", "weights_sha256", "metadata"):
+        if key not in manifest:
+            raise CorruptionError(f"{manifest_path} lacks the {key!r} key")
     with open(path / "weights.bin", "rb") as fh:
         blob = fh.read()
     digest = hashlib.sha256(blob).hexdigest()
@@ -129,15 +138,7 @@ def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
              extra: dict | None = None) -> None:
     meta = {
         "kind": "denoiser",
-        "arch": {
-            "data_dim": net.data_dim,
-            "hidden": list(net.hidden),
-            "time_dim": net.time_dim,
-            "guidance_dim": net.guidance_dim,
-            "cond_dim": net.cond_dim,
-            "num_conditions": net.num_conditions,
-            "omega_ref": net.omega_ref,
-        },
+        "arch": net.arch(),
         "schedule": dict(sched_params),
         "fingerprint": net_fingerprint(net),
     }
@@ -150,16 +151,15 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "denoiser":
         raise CheckpointError(f"{path} holds a {meta.get('kind')!r} checkpoint, wanted a denoiser")
-    arch = meta["arch"]
-    net = DenoiserNet(
-        data_dim=arch["data_dim"],
-        hidden=tuple(arch["hidden"]),
-        time_dim=arch["time_dim"],
-        guidance_dim=arch["guidance_dim"],
-        cond_dim=arch["cond_dim"],
-        num_conditions=arch["num_conditions"],
-        omega_ref=arch["omega_ref"],
-    )
+    arch = meta.get("arch")
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"{path} has no architecture record")
+    fields = DenoiserNet.arch_fields()
+    problems = ([f"missing field {name!r}" for name in fields if name not in arch]
+                + [f"unknown field {name!r}" for name in arch if name not in fields])
+    if problems:
+        raise CheckpointError(f"{path} architecture record: {', '.join(problems)}")
+    net = DenoiserNet(**arch)
     for name in net.params:
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from cdlora.cli import main
+from cdlora.denoiser import DenoiserNet
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry
-from cdlora.persist import load_adapter, load_checkpoint, load_net, save_adapter
+from cdlora.persist import load_adapter, load_checkpoint, load_net, save_adapter, save_net
+from cdlora.schedule import make_schedule
 from cdlora.sampling_eval import read_samples, write_samples
 from cdlora.tensor import Tensor
 
@@ -215,6 +217,46 @@ def test_gradcheck_small(run_root, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["pass"] is True
     assert result["max_rel_err"] < 1e-4
+
+
+@pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-2"),
+                                        ("--hidden", "8,0")])
+def test_gradcheck_rejects_bad_sizes(run_root, capsys, recwarn, flag, value):
+    assert main(["gradcheck", "--hidden", "8,8", "--rank", "2", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"error: {flag}") and "\n" not in err
+    assert len(recwarn) == 0
+
+
+def _drop_weights_hash(manifest):
+    del manifest["weights_sha256"]
+    return manifest
+
+
+def _drop_omega_ref(manifest):
+    del manifest["metadata"]["arch"]["omega_ref"]
+    return manifest
+
+
+@pytest.mark.parametrize("corrupt,named", [(lambda m: [m], "list"),
+                                           (_drop_weights_hash, "weights_sha256"),
+                                           (_drop_omega_ref, "omega_ref")],
+                         ids=["list", "no-hash", "no-omega_ref"])
+def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):
+    net = DenoiserNet(hidden=(8,), num_conditions=2)
+    save_net(run_root / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
+    path = run_root / "net.ckpt" / "manifest.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    assert main(["sample", "--ckpt", "net.ckpt", "--count", "4", "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    # the message names the checkpoint and the bad key, not a bare KeyError
+    assert err.startswith("error:") and "net.ckpt" in err and named in err and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
 
 
 def test_unknown_config_key_exits_one(run_root, capsys):

@@ -5,7 +5,6 @@ from cdlora.denoiser import (
     ConsistencyHead,
     DenoiserNet,
     consistency_forward,
-    forward_eps,
     sinusoidal_features,
 )
 from cdlora.rng import substream
@@ -22,7 +21,7 @@ def test_zero_init_final_layer_predicts_zero():
     net = small_net()
     sched = make_schedule(50)
     z = substream(1, "z").normal((5, 2))
-    out = forward_eps(net, sched, z, 0.0, 0, 25)
+    out = net.forward(z, 0.0, 0, sched.t_of(25))
     np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
 
 
@@ -42,11 +41,11 @@ def test_condition_validation():
     sched = make_schedule(50)
     z = np.zeros((1, 2))
     with pytest.raises(ValueError):
-        forward_eps(net, sched, z, 0.0, 9, 10)  # beyond the null id 8
+        net.forward(z, 0.0, 9, sched.t_of(10))  # beyond the null id 8
     with pytest.raises(ValueError):
-        forward_eps(net, sched, z, -1.0, 0, 10)
+        net.forward(z, -1.0, 0, sched.t_of(10))
     # the null condition is a first-class id
-    forward_eps(net, sched, z, 0.0, net.null_id, 10)
+    net.forward(z, 0.0, net.null_id, sched.t_of(10))
 
 
 def test_null_condition_has_own_row():
@@ -82,7 +81,7 @@ def test_non_finite_activation_reported():
     net.params["layer0.weight"].data[0, 0] = np.inf
     sched = make_schedule(50)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-        forward_eps(net, sched, np.ones((1, 2)), 0.0, 0, 10)
+        net.forward(np.ones((1, 2)), 0.0, 0, sched.t_of(10))
 
 
 def test_sinusoidal_feature_shape():

@@ -98,8 +98,12 @@ def test_missing_checkpoint(tmp_path):
 
 def test_net_round_trip(tmp_path):
     sched = make_schedule(50)
-    net = DenoiserNet(data_dim=2, hidden=(16, 16), num_conditions=8,
-                      stream=substream(1, "init"))
+    net = DenoiserNet(data_dim=3, hidden=(16, 12), time_dim=6, guidance_dim=4, cond_dim=5,
+                      num_conditions=3, omega_ref=4.0, stream=substream(1, "init"))
+    # every architecture field is off its default, so a dropped field shows
+    default_arch = DenoiserNet().arch()
+    assert set(net.arch()) == set(default_arch)
+    assert all(net.arch()[name] != default_arch[name] for name in default_arch)
     sched_params = {"N": 50, "beta_min": 1e-4, "beta_max": 0.05}
     save_net(tmp_path / "net.ckpt", net, sched, sched_params, {"sigma_data": 0.5})
     net2, sched2, meta = load_net(tmp_path / "net.ckpt")
@@ -109,6 +113,50 @@ def test_net_round_trip(tmp_path):
     for name, p in net.params.items():
         assert np.array_equal(net2.params[name].data, p.data)
     assert net_fingerprint(net2) == net_fingerprint(net)
+    # omega_ref is no weight shape, so only the arch record carries it
+    for twin in (net2, net.clone()):
+        assert twin.arch() == net.arch()
+
+
+def _rewrite_manifest(ckpt, edit):
+    path = ckpt / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def test_manifest_not_an_object_rejected(tmp_path):
+    save_checkpoint(tmp_path / "c.ckpt", random_tensors(), {})
+    _rewrite_manifest(tmp_path / "c.ckpt", lambda m: [m])
+    with pytest.raises(CorruptionError, match="list"):
+        load_checkpoint(tmp_path / "c.ckpt")
+    (tmp_path / "c.ckpt" / "manifest.json").write_text("{not json")
+    with pytest.raises(CorruptionError, match="not valid JSON"):
+        load_checkpoint(tmp_path / "c.ckpt")
+
+
+@pytest.mark.parametrize("key", ["tensors", "weights_sha256", "metadata"])
+def test_manifest_missing_key_rejected(tmp_path, key):
+    save_checkpoint(tmp_path / "c.ckpt", random_tensors(), {})
+    _rewrite_manifest(tmp_path / "c.ckpt", lambda m: {k: v for k, v in m.items() if k != key})
+    with pytest.raises(CorruptionError, match=key):
+        load_checkpoint(tmp_path / "c.ckpt")
+
+
+def test_net_arch_record_names_missing_and_unknown_fields(tmp_path):
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2, stream=substream(6, "init"))
+    save_net(tmp_path / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
+
+    def edit_arch(m):
+        del m["metadata"]["arch"]["omega_ref"]
+        del m["metadata"]["arch"]["cond_dim"]
+        m["metadata"]["arch"]["depth"] = 3
+        return m
+
+    _rewrite_manifest(tmp_path / "net.ckpt", edit_arch)
+    with pytest.raises(CheckpointError) as err:
+        load_net(tmp_path / "net.ckpt")
+    for name in ("omega_ref", "cond_dim", "depth"):
+        assert name in str(err.value)
 
 
 def test_adapter_round_trip_and_pairing(tmp_path):

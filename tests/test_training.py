@@ -5,7 +5,7 @@ import pytest
 
 from cdlora.config import load_config
 from cdlora.datasets import ring8, rotated, single_gaussian
-from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward, forward_eps
+from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
 from cdlora.lora import attach, materialize, merge
 from cdlora.rng import substream
 from cdlora.schedule import make_schedule
@@ -221,7 +221,7 @@ def test_teacher_posterior_mean_single_gaussian():
         a, s = sched.alpha(n), sched.sigma(n)
         count = 4000
         z = a * (mean + s_d * stream.normal((count, 2))) + s * stream.normal((count, 2))
-        eps_hat = forward_eps(net, sched, z, 0.0, 0, n).data
+        eps_hat = net.forward(z, 0.0, 0, sched.t_of(n)).data
         x0_net = (z - s * eps_hat) / a
         shrink = a * s_d ** 2 / (a ** 2 * s_d ** 2 + s ** 2)
         x0_star = mean + shrink * (z - a * mean)
