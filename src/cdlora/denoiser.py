@@ -30,6 +30,7 @@ from cdlora.tensor import (
     scale_rows,
     silu,
     sub,
+    taping,
     transpose,
 )
 
@@ -37,14 +38,23 @@ from cdlora.tensor import (
 # Consistency Models (Song et al., 2023, arXiv 2303.01469)
 SIGMA_DATA = 0.5
 
+# rows per block of an off-tape forward's trunk (embeddings and hidden layers):
+# a 256 x 128 float64 activation (256 KB) stays in a core's L2 cache between primitives
+BLOCK_ROWS = 256
+
 
 def sinusoidal_features(x, dim: int) -> np.ndarray:
-    """(m, dim) sin/cos features of a scalar signal at geometric frequencies."""
+    """(m, dim) sin/cos features of a scalar signal at geometric frequencies.
+
+    sin/cos run once per distinct value of x and the rows are gathered, so a
+    batch that shares one timestep or guidance scale pays for one row.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
-    ang = x[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    values, rows = np.unique(x, return_inverse=True)
+    ang = values[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)[rows]
 
 
 class DenoiserNet:
@@ -137,8 +147,27 @@ class DenoiserNet:
             y = add(y, mul(delta, entry.scale) if entry.scale != 1.0 else delta)
         return add_bias(y, self.params[f"{name}.bias"])
 
+    def _trunk(self, z, tf, gf, cond, adapter) -> Tensor:
+        """All but the output layer, given the rows' time and guidance features."""
+        h_t = self._dense(Tensor(tf), "time_proj", adapter)
+        h_g = self._dense(Tensor(gf), "guidance_proj", adapter)
+        h_c = embed_rows(self.params["cond_table"], cond)
+        h = concat_cols([Tensor(z), h_t, h_g, h_c])
+        for i in range(self.n_layers - 1):
+            h = silu(self._dense(h, f"layer{i}", adapter))
+        return h
+
     def forward(self, z, omega, cond, t, adapter=None) -> Tensor:
-        """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row."""
+        """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row.
+
+        Off the tape, a batch of more than BLOCK_ROWS rows runs all but the
+        output layer over near-equal row blocks of at most BLOCK_ROWS rows,
+        so each block's activations stay in cache. The output layer runs once
+        on the whole batch, since its narrow BLAS product rounds differently
+        for different row counts; the other products give the same bits for
+        any block of 2 or more rows (tests/test_denoiser.py checks this). On
+        the tape the block is the whole batch, so the graph is unchanged.
+        """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.data_dim:
             raise ValueError(f"expected z of shape (m, {self.data_dim}), got {z.shape}")
@@ -153,17 +182,19 @@ class DenoiserNet:
             )
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
 
-        tf = Tensor(sinusoidal_features(t_arr, self.time_dim))
-        gf = Tensor(sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim))
-        h_t = self._dense(tf, "time_proj", adapter)
-        h_g = self._dense(gf, "guidance_proj", adapter)
-        h_c = embed_rows(self.params["cond_table"], cond_arr)
-
-        h = concat_cols([Tensor(z), h_t, h_g, h_c])
-        for i in range(self.n_layers):
-            h = self._dense(h, f"layer{i}", adapter)
-            if i != self.n_layers - 1:
-                h = silu(h)
+        tf = sinusoidal_features(t_arr, self.time_dim)
+        gf = sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim)
+        rows = (z, tf, gf, cond_arr)
+        last = f"layer{self.n_layers - 1}"
+        if taping() or m <= BLOCK_ROWS:
+            h = self._trunk(*rows, adapter)
+        else:
+            parts = -(-m // BLOCK_ROWS)
+            hidden = np.empty((m, self.params[f"{last}.weight"].shape[0]))
+            for out, *block in zip(*(np.array_split(a, parts) for a in (hidden, *rows))):
+                out[:] = self._trunk(*block, adapter).data
+            h = Tensor(hidden)
+        h = self._dense(h, last, adapter)
         if not np.all(np.isfinite(h.data)):
             raise NonFiniteError("non-finite activations in denoiser forward")
         return h

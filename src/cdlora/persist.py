@@ -186,11 +186,44 @@ def save_adapter(path, bundle: AdapterBundle, base_fingerprint: str,
     save_checkpoint(path, adapter.snapshot(), meta)
 
 
+def _adapter_problems(tensors: dict, meta: dict) -> list[str]:
+    """Missing or bad keys and factor tensors of an adapter record."""
+    kinds = {"role": str, "provenance": dict, "targets": list, "ranks": dict,
+             "scales": dict, "base_fingerprint": str}
+    problems = [f"missing {key!r}" if key not in meta else f"bad {key!r}"
+                for key, kind in kinds.items() if not isinstance(meta.get(key), kind)]
+    if problems:
+        return problems
+    if not all(isinstance(name, str) for name in meta["targets"]):
+        return ["bad 'targets'"]
+    for name in meta["targets"]:
+        rank, scale = meta["ranks"].get(name), meta["scales"].get(name)
+        if type(rank) is not int or rank < 1:
+            problems.append(f"bad 'ranks' entry for {name!r}")
+        if type(scale) not in (int, float) or not np.isfinite(scale):
+            problems.append(f"bad 'scales' entry for {name!r}")
+        for factor, rank_axis in (("lora_A", 0), ("lora_B", 1)):
+            key = f"{name}.{factor}"
+            arr = tensors.get(key)
+            if arr is None:
+                problems.append(f"missing tensor {key!r}")
+            elif arr.ndim != 2 or arr.shape[rank_axis] != rank:
+                problems.append(f"tensor {key!r} has shape {arr.shape}, not rank {rank}")
+    return problems
+
+
 def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
-    """Load an adapter bundle; verifies base pairing when a net is given."""
+    """Load an adapter bundle; verifies base pairing when a net is given.
+
+    The record's keys and factor tensors are checked before any is used; a
+    bad record raises CheckpointError naming the file and every problem.
+    """
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "adapter":
         raise CheckpointError(f"{path} holds a {meta.get('kind')!r} checkpoint, wanted an adapter")
+    problems = _adapter_problems(tensors, meta)
+    if problems:
+        raise CheckpointError(f"{path} adapter record: {', '.join(problems)}")
     if base_net is not None:
         fp = net_fingerprint(base_net)
         if fp != meta["base_fingerprint"]:
@@ -198,6 +231,11 @@ def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
                 "adapter/base architecture mismatch: adapter was built against "
                 f"{meta['base_fingerprint']}, base network is {fp}"
             )
+        layers = dict(base_net.named_shapes())
+        unfit = [name for name in meta["targets"] if layers.get(name) != (
+            tensors[f"{name}.lora_A"].shape[1], tensors[f"{name}.lora_B"].shape[0])]
+        if unfit:
+            raise AdapterError(f"{path} adapter factors do not fit base layers {unfit}")
     adapter = LoraAdapter()
     for name in meta["targets"]:
         adapter.entries[name] = LoraEntry(

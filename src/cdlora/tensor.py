@@ -119,6 +119,11 @@ class GradTape:
         self._consumed = True
 
 
+def taping() -> bool:
+    """True while a GradTape is recording."""
+    return _active_tape is not None
+
+
 def _record(arr: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
     out = _wrap(arr)
     tape = _active_tape
@@ -149,13 +154,18 @@ def stopgrad(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; backward is dL/da = g @ b^T, dL/db = a^T @ g."""
+    """2-D matrix product; backward is dL/da = g @ b^T, dL/db = a^T @ g.
+
+    The backward skips the product of an operand that needs no gradient,
+    such as a frozen base weight or a constant feature matrix.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible")
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _record(ad @ bd, (a, b), bwd)
 

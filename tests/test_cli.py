@@ -7,8 +7,9 @@ import pytest
 
 from cdlora.cli import main
 from cdlora.denoiser import DenoiserNet
-from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry
-from cdlora.persist import load_adapter, load_checkpoint, load_net, save_adapter, save_net
+from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, attach
+from cdlora.persist import (load_adapter, load_checkpoint, load_net, net_fingerprint,
+                             save_adapter, save_net)
 from cdlora.schedule import make_schedule
 from cdlora.sampling_eval import read_samples, write_samples
 from cdlora.tensor import Tensor
@@ -256,6 +257,26 @@ def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):
     err = captured.err.strip()
     # the message names the checkpoint and the bad key, not a bare KeyError
     assert err.startswith("error:") and "net.ckpt" in err and named in err and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
+
+
+def test_sample_rejects_adapter_manifest_without_targets(run_root, capsys):
+    net = DenoiserNet(hidden=(8,), num_conditions=2)
+    save_net(run_root / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
+    adapter = attach(net, rank=2, cap_rank=True)
+    save_adapter(run_root / "a.ckpt", AdapterBundle(adapter, "acceleration", {}),
+                 net_fingerprint(net))
+    path = run_root / "a.ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["metadata"]["targets"]
+    path.write_text(json.dumps(manifest))
+    assert main(["sample", "--ckpt", "net.ckpt", "--adapter", "a.ckpt", "--count", "4",
+                 "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "a.ckpt" in err and "'targets'" in err and "\n" not in err
     assert not (run_root / "bad.csv").exists()
 
 

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import cdlora.denoiser
 from cdlora.denoiser import (
+    BLOCK_ROWS,
     ConsistencyHead,
     DenoiserNet,
     consistency_forward,
     sinusoidal_features,
 )
+from cdlora.lora import attach
 from cdlora.rng import substream
 from cdlora.schedule import ScheduleError, make_schedule
-from cdlora.tensor import GradTape, NonFiniteError, Tensor, grad_check, sum_all
+from cdlora.tensor import GradTape, NonFiniteError, Tensor, grad_check, silu, sum_all
 
 
 def small_net(seed=0, hidden=(16, 16)):
@@ -88,6 +91,68 @@ def test_sinusoidal_feature_shape():
     f = sinusoidal_features(np.array([0.1, 0.5]), 16)
     assert f.shape == (2, 16)
     assert np.all(np.isfinite(f))
+
+
+def test_sinusoidal_features_equal_direct_formula():
+    stream = substream(31, "test/sinusoid")
+    distinct = stream.uniform(997)
+    inputs = {
+        "repeated": np.full(4000, 0.37),
+        "distinct": distinct,
+        "per-row": distinct[stream.integers(3000, 0, 9)],
+        "scalar": 0.25,
+    }
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), 8))
+    for name, x in inputs.items():
+        ang = np.atleast_1d(x)[:, None] * freqs[None, :]
+        direct = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+        assert np.array_equal(sinusoidal_features(x, 16), direct), name
+
+
+def _busy_net(seed, adapted):
+    net = DenoiserNet(stream=substream(seed, "init/net"))
+    last = net.params["layer3.weight"]
+    last.data[:] = substream(seed, "test/last").normal(last.shape)
+    if not adapted:
+        return net, None
+    adapter = attach(net, rank=8, stream=substream(seed, "init/lora"), cap_rank=True)
+    for e in adapter.entries.values():
+        e.b.data[:] = 0.1 * substream(seed, "test/b").normal(e.b.shape)
+    return net, adapter
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["base", "rank8"])
+@pytest.mark.parametrize("m", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 600, 4000])
+def test_blocked_forward_equals_whole_batch_on_tape(m, adapted):
+    net, adapter = _busy_net(41, adapted)
+    stream = substream(42, "test/blocked")
+    z = stream.normal((m, 2))
+    per_row = (14.0 * stream.uniform(m), stream.integers(m, 0, net.null_id), stream.uniform(m))
+    for omega, cond, t in (per_row, (7.5, 3, 0.4)):
+        off_tape = net.forward(z, omega, cond, t, adapter=adapter).data
+        with GradTape():
+            whole = net.forward(z, omega, cond, t, adapter=adapter)
+        assert whole.requires_grad
+        assert np.array_equal(off_tape, whole.data)
+
+
+def test_only_off_tape_forwards_are_blocked(monkeypatch):
+    net, _ = _busy_net(43, False)
+    rows = []
+
+    def silu_rows(h):
+        rows.append(h.shape[0])
+        return silu(h)
+
+    monkeypatch.setattr(cdlora.denoiser, "silu", silu_rows)
+    z = np.zeros((600, 2))
+    net.forward(z, 7.5, 0, 0.5)
+    # three blocks of 200 rows (BLOCK_ROWS is 256), three hidden layers each
+    assert rows == [200] * 9
+    rows.clear()
+    with GradTape():
+        net.forward(z, 7.5, 0, 0.5)
+    assert rows == [600] * 3
 
 
 def test_head_coefficients_at_boundary_and_half():

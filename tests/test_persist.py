@@ -182,6 +182,58 @@ def test_adapter_round_trip_and_pairing(tmp_path):
     assert net_fingerprint(other) in str(err.value)
 
 
+def _adapter_record(tmp_path):
+    """A saved rank-2 adapter's tensors and metadata, ready to corrupt and re-save."""
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2, stream=substream(8, "init"))
+    adapter = attach(net, rank=2, stream=substream(9, "lora"), cap_rank=True)
+    save_adapter(tmp_path / "a.ckpt", AdapterBundle(adapter, "style", {"k": 1}),
+                 net_fingerprint(net))
+    tensors, meta = load_checkpoint(tmp_path / "a.ckpt")
+    return net, tensors, meta
+
+
+@pytest.mark.parametrize("key", ["base_fingerprint", "targets", "ranks", "scales", "role",
+                                 "provenance"])
+def test_adapter_record_missing_or_bad_key_named(tmp_path, key):
+    net, tensors, meta = _adapter_record(tmp_path)
+    for value, word in ((None, "missing"), (7, "bad")):
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        save_checkpoint(tmp_path / "b.ckpt", tensors, meta)
+        with pytest.raises(CheckpointError) as err:
+            load_adapter(tmp_path / "b.ckpt", base_net=net)
+        msg = str(err.value)
+        assert str(tmp_path / "b.ckpt") in msg and f"{word} {key!r}" in msg and "\n" not in msg
+
+
+def test_adapter_record_names_every_bad_entry_and_tensor(tmp_path):
+    net, tensors, meta = _adapter_record(tmp_path)
+    meta["ranks"]["layer0.weight"] = "two"
+    meta["scales"]["layer1.weight"] = float("inf")
+    del tensors["time_proj.weight.lora_B"]
+    tensors["guidance_proj.weight.lora_A"] = tensors["guidance_proj.weight.lora_A"][:1]
+    save_checkpoint(tmp_path / "b.ckpt", tensors, meta)
+    with pytest.raises(CheckpointError) as err:
+        load_adapter(tmp_path / "b.ckpt")
+    msg = str(err.value)
+    for part in ("'ranks' entry for 'layer0.weight'", "'scales' entry for 'layer1.weight'",
+                 "missing tensor 'time_proj.weight.lora_B'",
+                 "'guidance_proj.weight.lora_A' has shape (1, 8)"):
+        assert part in msg
+    assert "\n" not in msg
+
+
+def test_adapter_factors_must_fit_the_base_layers(tmp_path):
+    net, tensors, meta = _adapter_record(tmp_path)
+    tensors["layer0.weight.lora_A"] = np.zeros((2, 5))
+    save_checkpoint(tmp_path / "b.ckpt", tensors, meta)
+    load_adapter(tmp_path / "b.ckpt")  # consistent on its own
+    with pytest.raises(AdapterError, match="layer0.weight"):
+        load_adapter(tmp_path / "b.ckpt", base_net=net)
+
+
 def test_kind_mismatch(tmp_path):
     net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2,
                       stream=substream(6, "init"))

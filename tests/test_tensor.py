@@ -54,6 +54,25 @@ def test_matmul_gradient_vs_finite_differences():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("frozen", ["a", "b"])
+def test_matmul_backward_skips_frozen_operand(frozen):
+    stream = substream(8, "test/matmul-frozen")
+    a = Tensor(stream.normal((5, 3)), requires_grad=frozen != "a")
+    b = Tensor(stream.normal((3, 4)), requires_grad=frozen != "b")
+    g = stream.normal((5, 4))
+    with GradTape() as tape:
+        out = matmul(a, b)
+        tape.backward(sum_all(mul(out, Tensor(g))))
+        (_, _, bwd), = [node for node in tape._nodes if node[0] is out]
+    ga, gb = bwd(g)
+    if frozen == "a":
+        assert ga is None and a.grad is None
+        assert np.array_equal(b.grad, a.data.T @ g) and np.array_equal(gb, a.data.T @ g)
+    else:
+        assert gb is None and b.grad is None
+        assert np.array_equal(a.grad, g @ b.data.T) and np.array_equal(ga, g @ b.data.T)
+
+
 def test_add_example():
     out = add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
