@@ -23,7 +23,6 @@ from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet, consistenc
 from cdlora.lora import attach, combine, count_trainable, merge
 from cdlora.persist import (
     load_adapter,
-    load_checkpoint,
     load_net,
     net_fingerprint,
     save_adapter,
@@ -190,18 +189,15 @@ def cmd_combine_lora(args) -> int:
     accel_path = _resolve(args.accel)
     style = load_adapter(style_path)
     accel = load_adapter(accel_path)
-    _, style_meta = load_checkpoint(style_path)
-    _, accel_meta = load_checkpoint(accel_path)
-    if style_meta["base_fingerprint"] != accel_meta["base_fingerprint"]:
+    if style.base_fingerprint != accel.base_fingerprint:
         raise ConfigError(
             "adapters were built against different base architectures: "
-            f"style {style_meta['base_fingerprint']} vs acceleration "
-            f"{accel_meta['base_fingerprint']}"
+            f"style {style.base_fingerprint} vs acceleration {accel.base_fingerprint}"
         )
     combined = combine(style, accel, args.l1, args.l2)
     combined.provenance["parent_files"] = [str(style_path), str(accel_path)]
     out = _resolve(args.out)
-    save_adapter(out, combined, style_meta["base_fingerprint"])
+    save_adapter(out, combined, style.base_fingerprint)
     _echo({"command": "combine-lora", "lambda1": args.l1, "lambda2": args.l2,
            "out": str(out), "parents": [str(style_path), str(accel_path)]})
     return 0

@@ -21,6 +21,7 @@ from cdlora.schedule import ALPHA_GUARD, NoiseSchedule, ScheduleError
 from cdlora.tensor import (
     NonFiniteError,
     Tensor,
+    _wrap,
     add,
     add_bias,
     concat_cols,
@@ -147,12 +148,12 @@ class DenoiserNet:
             y = add(y, mul(delta, entry.scale) if entry.scale != 1.0 else delta)
         return add_bias(y, self.params[f"{name}.bias"])
 
-    def _trunk(self, z, tf, gf, cond, adapter) -> Tensor:
+    def _trunk(self, z: Tensor, tf: Tensor, gf: Tensor, cond, adapter) -> Tensor:
         """All but the output layer, given the rows' time and guidance features."""
-        h_t = self._dense(Tensor(tf), "time_proj", adapter)
-        h_g = self._dense(Tensor(gf), "guidance_proj", adapter)
+        h_t = self._dense(tf, "time_proj", adapter)
+        h_g = self._dense(gf, "guidance_proj", adapter)
         h_c = embed_rows(self.params["cond_table"], cond)
-        h = concat_cols([Tensor(z), h_t, h_g, h_c])
+        h = concat_cols([z, h_t, h_g, h_c])
         for i in range(self.n_layers - 1):
             h = silu(self._dense(h, f"layer{i}", adapter))
         return h
@@ -182,18 +183,19 @@ class DenoiserNet:
             )
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
 
-        tf = sinusoidal_features(t_arr, self.time_dim)
-        gf = sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim)
-        rows = (z, tf, gf, cond_arr)
+        # the inputs' one finiteness scan: NaN or Inf in z, t or omega raises here
+        rows = [Tensor(z), Tensor(sinusoidal_features(t_arr, self.time_dim)),
+                Tensor(sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim))]
         last = f"layer{self.n_layers - 1}"
         if taping() or m <= BLOCK_ROWS:
-            h = self._trunk(*rows, adapter)
+            h = self._trunk(*rows, cond_arr, adapter)
         else:
             parts = -(-m // BLOCK_ROWS)
             hidden = np.empty((m, self.params[f"{last}.weight"].shape[0]))
-            for out, *block in zip(*(np.array_split(a, parts) for a in (hidden, *rows))):
-                out[:] = self._trunk(*block, adapter).data
-            h = Tensor(hidden)
+            blocks = (np.array_split(a, parts) for a in (hidden, *(r.data for r in rows), cond_arr))
+            for out, zb, tb, gb, cb in zip(*blocks):
+                out[:] = self._trunk(_wrap(zb), _wrap(tb), _wrap(gb), cb, adapter).data
+            h = _wrap(hidden)  # a non-finite hidden value fails the output check below
         h = self._dense(h, last, adapter)
         if not np.all(np.isfinite(h.data)):
             raise NonFiniteError("non-finite activations in denoiser forward")

@@ -74,12 +74,15 @@ class AdapterBundle:
 
     Roles: "acceleration" (produced by consistency distillation), "style"
     (produced by fine-tuning on a styled dataset), or "combined". Combined
-    bundles record both lambda weights and both parent roles.
+    bundles record both lambda weights and both parent roles. A bundle read
+    from disk carries the fingerprint of the base architecture it was built
+    against; a fresh one has None.
     """
 
     adapter: LoraAdapter
     role: str
     provenance: dict = field(default_factory=dict)
+    base_fingerprint: Optional[str] = None
 
 
 def attach(

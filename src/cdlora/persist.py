@@ -244,4 +244,5 @@ def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
             rank=meta["ranks"][name],
             scale=meta["scales"][name],
         )
-    return AdapterBundle(adapter=adapter, role=meta["role"], provenance=meta["provenance"])
+    return AdapterBundle(adapter=adapter, role=meta["role"], provenance=meta["provenance"],
+                         base_fingerprint=meta["base_fingerprint"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,16 +141,45 @@ def ddim_sample(
 # ---------------------------------------------------------------------------
 # metrics
 
+# float64 entries per squared-distance block of mmd2 (512 KB, so a block and
+# its product buffer stay in a core's L2 cache): the median's passes take as
+# many whole rows as fit, and the kernel sums' leaves are this long
+BLOCK_ENTRIES = 2 ** 16
+# most pair values the median gathers for its final partition (8 MB); a
+# fuller middle bucket is first narrowed by the next 16 bits
+MEDIAN_CAP = 2 ** 20
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = np.sum(a * a, axis=1)
-    bb = np.sum(b * b, axis=1)
-    d = np.add.outer(aa, bb)
-    ab = a @ b.T
-    ab *= 2.0
-    d -= ab
-    np.maximum(d, 0.0, out=d)
-    return d
+
+class _SqDists:
+    """Squared distances from row blocks of a to b, built into two buffers
+    that every block reuses (fresh arrays of a block's size page-fault).
+
+    One formula, aa_i + bb_j - 2 a_i.b_j clipped at 0, with the product from
+    BLAS; a one-row block is widened to two rows, because numpy hands a
+    one-row product to gemv, which rounds differently from gemm.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, max_rows: int):
+        self.a, self.b = a, b
+        self.aa = np.sum(a * a, axis=1)
+        self.bb = np.sum(b * b, axis=1)
+        self.d = np.empty(max_rows * len(b))
+        self.ab = np.empty_like(self.d)
+
+    def rows(self, r0: int, r1: int, c0: int = 0) -> np.ndarray:
+        """(r1 - r0, len(b) - c0) block of rows r0:r1 and columns c0: of b."""
+        if r1 - r0 == 1 and len(self.a) > 1:
+            lo = min(r0, len(self.a) - 2)
+            return self.rows(lo, lo + 2, c0)[r0 - lo:r1 - lo]
+        shape = (r1 - r0, len(self.b) - c0)
+        d = self.d[:shape[0] * shape[1]].reshape(shape)
+        ab = self.ab[:d.size].reshape(shape)
+        np.add.outer(self.aa[r0:r1], self.bb[c0:], out=d)
+        np.matmul(self.a[r0:r1], self.b[c0:].T, out=ab)
+        ab *= 2.0
+        d -= ab
+        np.maximum(d, 0.0, out=d)
+        return d
 
 
 def _finite_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -160,26 +190,133 @@ def _finite_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _median_sq(d_xx: np.ndarray, d_yy: np.ndarray, d_xy: np.ndarray) -> float:
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """The pooled sample's distinct pairs as blocks of squared distances:
+    all of x-y, then the upper triangles of x-x and y-y. A triangle's row
+    block starts at its first row's column and comes as two parts, the
+    strict upper triangle of its leading square and the columns right of
+    that square. Each block is overwritten by the next."""
+    for a, b in ((x, y), (x, x), (y, y)):
+        step = max(BLOCK_ENTRIES // max(len(b), 1), 2)
+        dists = _SqDists(a, b, step)
+        for r0 in range(0, len(a), step):
+            r1 = min(r0 + step, len(a))
+            if a is b:
+                d = dists.rows(r0, r1, r0)
+                yield d[np.triu_indices(r1 - r0, 1)]
+                yield d[:, r1 - r0:]
+            else:
+                yield dists.rows(r0, r1)
+
+
+def _pattern_value(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _median_sq(x: np.ndarray, y: np.ndarray) -> float:
     """Median squared distance over the distinct pairs of the pooled sample.
 
-    The pairs are the upper triangles of the within-set blocks plus the whole
-    cross block, the same multiset as the pooled matrix's upper triangle.
+    The pairs are the whole x-y block plus the upper triangles of the x-x and
+    y-y blocks, the same multiset as the pooled matrix's upper triangle. The
+    median is an exact radix select on the pairs' float64 bit patterns (a
+    non-negative double orders like its int64 pattern). A first pass counts
+    the pairs by their top 16 bits. While the bucket that holds the middle
+    ranks has more than MEDIAN_CAP pairs, another pass counts that bucket's
+    pairs by their next 16 bits. A last pass gathers the bucket's pairs and
+    partitions them. Two shortcuts end early: a bucket of one bit pattern is
+    the answer, and middle ranks in two buckets are the largest pair at or
+    under the lower bucket's top and the smallest pair over it.
+
+    Each pass rebuilds the distances in blocks of BLOCK_ENTRIES, so memory is
+    a few such blocks plus at most MEDIAN_CAP values at any sample count.
     """
-    pairs = np.concatenate([d_xy.ravel()] + [d[i, i + 1:] for d in (d_xx, d_yy)
-                                             for i in range(len(d) - 1)])
-    k = len(pairs) // 2
-    pairs.partition(k)
-    if len(pairs) % 2:
-        return float(pairs[k])
-    # the k smallest sit below index k, so their max is the lower middle value
-    return float((pairs[:k].max() + pairs[k]) / 2.0)
+    m, n = len(x), len(y)
+    total = m * n + (m * (m - 1) + n * (n - 1)) // 2
+    k = total // 2
+    ranks = np.array([k - 1, k] if total % 2 == 0 else [k])
+    lo, below = 0, 0  # the bucket's lowest bit pattern, and the pairs under it
+    for shift in (48, 32, 16, 0):
+        if shift < 48:  # narrowing: count only the pairs inside the bucket
+            lo_v, hi_v = _pattern_value(lo), _pattern_value(lo + (1 << (shift + 16)) - 1)
+        counts = np.zeros(1 << 16, dtype=np.int64)
+        for seg in _pair_blocks(x, y):
+            if shift < 48:
+                seg = seg[(seg >= lo_v) & (seg <= hi_v)]
+            found = np.bincount(((seg.view(np.int64) - lo) >> shift).ravel())
+            counts[:len(found)] += found
+        cum = np.cumsum(counts)
+        lower, upper = np.searchsorted(cum, ranks - below, side="right")[[0, -1]]
+        if lower != upper:
+            # ranks k - 1 and k straddle two buckets: exactly k pairs lie at
+            # or under the lower bucket's top pattern
+            top = _pattern_value(lo + ((int(lower) + 1) << shift) - 1)
+            lo_sq, hi_sq = -np.inf, np.inf
+            for seg in _pair_blocks(x, y):
+                under = seg <= top
+                if under.any():
+                    lo_sq = max(lo_sq, seg[under].max())
+                if not under.all():
+                    hi_sq = min(hi_sq, seg[~under].min())
+            return float((lo_sq + hi_sq) / 2.0)
+        below += int(cum[lower] - counts[lower])
+        lo += int(lower) << shift
+        if shift == 0 or counts[lower] <= MEDIAN_CAP:
+            break
+    if shift == 0:  # one bit pattern holds every middle rank
+        return _pattern_value(lo)
+    lo_v, hi_v = _pattern_value(lo), _pattern_value(lo + (1 << shift) - 1)
+    pairs = np.empty(int(counts[lower]))
+    filled = 0
+    for seg in _pair_blocks(x, y):
+        seg = seg[(seg >= lo_v) & (seg <= hi_v)]
+        pairs[filled:filled + len(seg)] = seg
+        filled += len(seg)
+    pairs.partition(ranks - below)
+    mid = pairs[ranks - below]
+    return float((mid[0] + mid[-1]) / 2.0)
+
+
+def _kernel_sums(a: np.ndarray, b: np.ndarray, inv: float) -> tuple[float, float]:
+    """(k.sum(), np.trace(k)) of the RBF kernel k = exp(inv * d) over the
+    squared distances d of a to b, without holding k.
+
+    numpy sums a contiguous array pairwise: a range of more than 128 entries
+    splits at n2 = n // 2 - (n // 2) % 8 and the halves' sums are added. The
+    recursion here follows the same split over k's flat indices down to
+    leaves of at most BLOCK_ENTRIES entries; each leaf builds the rows it
+    spans, exponentiates them in place and hands np.sum its flat slice,
+    which continues the same recursion (BLOCK_ENTRIES is above numpy's
+    128, so no range numpy sums in one piece is split). The trace gathers
+    k's diagonal into a vector for one np.sum, the order of np.trace's
+    strided sum.
+    """
+    n = len(b)
+    dists = _SqDists(a, b, -(-BLOCK_ENTRIES // n) + 1)
+    diag = np.empty(min(len(a), n))
+
+    def leaf(start: int, stop: int) -> float:
+        r0, r1 = start // n, -(-stop // n)
+        k = dists.rows(r0, r1)
+        k *= inv
+        np.exp(k, out=k)
+        rows = np.arange(r0, min(r1, len(diag)))
+        rows = rows[(rows * (n + 1) >= start) & (rows * (n + 1) < stop)]
+        diag[rows] = k[rows - r0, rows]
+        return np.sum(k.ravel()[start - r0 * n:stop - r0 * n])
+
+    def tree(start: int, count: int) -> float:
+        if count <= BLOCK_ENTRIES:
+            return leaf(start, start + count)
+        half = count // 2 - (count // 2) % 8
+        return tree(start, half) + tree(start + half, count - half)
+
+    return float(tree(0, len(a) * n)), float(np.sum(diag))
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample."""
     x, y = _finite_samples(x, y)
-    return float(np.sqrt(_median_sq(_sq_dists(x, x), _sq_dists(y, y), _sq_dists(x, y))))
+    return float(np.sqrt(_median_sq(x, y)))
 
 
 def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
@@ -189,32 +326,37 @@ def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     drops matched pairs too), so identical sample sets score exactly zero;
     for unequal counts the standard unbiased estimator applies. Bandwidth is
     the median heuristic unless a fixed value is given: the median distance
-    over the distinct pairs of the pooled sample, taken from the same three
-    distance blocks the kernels are built from. NaN or Inf samples raise
-    SamplingError.
+    over the distinct pairs of the pooled sample (_median_sq). NaN or Inf
+    samples raise SamplingError, as does a bandwidth that is not finite and
+    positive or whose -0.5 / bandwidth**2 is not finite.
+
+    No m x n matrix is built: the median and the kernel sums rebuild the
+    distances in blocks of BLOCK_ENTRIES, so the tracemalloc peak is about
+    4 MB at 2,000 per side and at most MEDIAN_CAP values plus a few blocks
+    at any count. The sums add in numpy's own pairwise order, so the result
+    is the float the whole-matrix build (kernel.sum() - np.trace(kernel) per
+    block) gives, as long as BLAS rounds a block's products like the whole
+    matrix's; README "Reproducibility" has the one known exception.
     """
     x, y = _finite_samples(x, y)
     m, n = len(x), len(y)
     if m < 2 or n < 2:
         raise SamplingError("mmd2 needs at least 2 samples per side")
-    d_xx, d_yy, d_xy = _sq_dists(x, x), _sq_dists(y, y), _sq_dists(x, y)
-    if bandwidth == "median":
-        bw = float(np.sqrt(_median_sq(d_xx, d_yy, d_xy)))
-    else:
-        bw = float(bandwidth)
-    if bw <= 0.0:
-        raise SamplingError(f"bandwidth must be positive, got {bw}")
+    bw = float(np.sqrt(_median_sq(x, y))) if bandwidth == "median" else float(bandwidth)
+    if not 0.0 < bw < math.inf:
+        raise SamplingError(f"bandwidth must be finite and positive, got {bw}")
+    if bw * bw == 0.0 or not math.isfinite(-0.5 / (bw * bw)):
+        raise SamplingError(f"bandwidth {bw} is too small: -0.5 / bandwidth**2 is not finite")
     inv = -0.5 / (bw * bw)
-    for d in (d_xx, d_yy, d_xy):  # squared distances become kernels in place
-        d *= inv
-        np.exp(d, out=d)
-    k_xx, k_yy, k_xy = d_xx, d_yy, d_xy
-    term_x = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
-    term_y = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
+    sum_xx, trace_xx = _kernel_sums(x, x, inv)
+    sum_yy, trace_yy = _kernel_sums(y, y, inv)
+    sum_xy, trace_xy = _kernel_sums(x, y, inv)
+    term_x = (sum_xx - trace_xx) / (m * (m - 1))
+    term_y = (sum_yy - trace_yy) / (n * (n - 1))
     if m == n:
-        cross = (k_xy.sum() - np.trace(k_xy)) / (m * (m - 1))
+        cross = (sum_xy - trace_xy) / (m * (m - 1))
     else:
-        cross = k_xy.sum() / (m * n)
+        cross = sum_xy / (m * n)
     return float(term_x + term_y - 2.0 * cross)
 
 

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdlora.cli
+import cdlora.persist
 from cdlora.cli import main
 from cdlora.denoiser import DenoiserNet
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, attach
@@ -211,6 +214,45 @@ def test_combine_rejects_different_bases(run_root, teacher_ckpt, capsys):
     code = main(["combine-lora", "--style", "s2/style.ckpt",
                  "--accel", "d3/acceleration.ckpt", "--out", "c.ckpt"])
     assert code == 1
+
+
+def _toy_adapter(run_root, name, role, fingerprint):
+    adapter = LoraAdapter({
+        "layer0.weight": LoraEntry(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2, 1.0)
+    })
+    save_adapter(run_root / name, AdapterBundle(adapter, role, {}), fingerprint)
+
+
+def test_combine_reads_each_parent_once(run_root, monkeypatch, capsys):
+    _toy_adapter(run_root, "s.ckpt", "style", "fp")
+    _toy_adapter(run_root, "a.ckpt", "acceleration", "fp")
+    reads = []
+    real = cdlora.persist.load_checkpoint
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return real(path)
+
+    for module in (cdlora.persist, cdlora.cli):  # every name a checkpoint read can go through
+        if hasattr(module, "load_checkpoint"):
+            monkeypatch.setattr(module, "load_checkpoint", counting)
+    assert main(["combine-lora", "--style", "s.ckpt", "--accel", "a.ckpt",
+                 "--out", "c.ckpt"]) == 0
+    assert sorted(reads) == ["a.ckpt", "s.ckpt"]
+    monkeypatch.undo()
+    assert load_adapter(run_root / "c.ckpt").base_fingerprint == "fp"
+
+
+def test_combine_fingerprint_mismatch_message(run_root, capsys):
+    _toy_adapter(run_root, "s.ckpt", "style", "fp-style")
+    _toy_adapter(run_root, "a.ckpt", "acceleration", "fp-accel")
+    assert main(["combine-lora", "--style", "s.ckpt", "--accel", "a.ckpt",
+                 "--out", "c.ckpt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: adapters were built against different base architectures: "
+                            "style fp-style vs acceleration fp-accel\n")
+    assert not (run_root / "c.ckpt").exists()
 
 
 def test_gradcheck_small(run_root, capsys):

@@ -155,6 +155,31 @@ def test_only_off_tape_forwards_are_blocked(monkeypatch):
     assert rows == [600] * 3
 
 
+@pytest.mark.parametrize("m", [3, 600], ids=["whole", "blocked"])
+@pytest.mark.parametrize("where,bad", [("z", np.nan), ("z", np.inf), ("t", np.nan),
+                                       ("t", -np.inf), ("omega", np.nan), ("omega", np.inf)])
+def test_non_finite_inputs_raise_on_both_paths(m, where, bad):
+    # the inputs are scanned once at whole-batch size; the blocks are wrapped unscanned
+    net, _ = _busy_net(44, False)
+    stream = substream(45, "test/non-finite")
+    inputs = {"z": stream.normal((m, 2)), "t": stream.uniform(m), "omega": 7.5 * stream.uniform(m)}
+    inputs[where][m - 2] = bad
+    for tape in (False, True):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            if tape:
+                with GradTape():
+                    net.forward(inputs["z"], inputs["omega"], 0, inputs["t"])
+            else:
+                net.forward(inputs["z"], inputs["omega"], 0, inputs["t"])
+
+
+def test_non_finite_hidden_value_raises_on_blocked_path():
+    net, _ = _busy_net(46, False)
+    net.params["layer1.weight"].data[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+        net.forward(substream(47, "test/z").normal((600, 2)), 7.5, 0, 0.5)
+
+
 def test_head_coefficients_at_boundary_and_half():
     sched = make_schedule(50)
     head = ConsistencyHead.for_schedule(sched, sigma_data=0.5)

@@ -8,6 +8,7 @@ from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.rng import substream
 from cdlora.schedule import make_schedule
 from cdlora.solvers import GaussianOracle, cfg_target, oracle_flow, solver_increment
+from cdlora import sampling_eval
 from cdlora.sampling_eval import (
     SamplingError,
     StepSchedule,
@@ -268,6 +269,14 @@ def test_mmd2_validation():
         mmd2(np.zeros((5, 2)), np.zeros((5, 2)), bandwidth=0.0)
 
 
+@pytest.mark.parametrize("bw", [np.nan, np.inf, -np.inf, -1.0, 1e-300, 1e-160])
+def test_mmd2_rejects_bad_bandwidth(bw):
+    # 1e-300 squares to 0 and 1e-160 to a subnormal whose -0.5 / bw**2 overflows
+    x = substream(63, "x").normal((20, 2))
+    with pytest.raises(SamplingError, match="bandwidth"):
+        mmd2(x, x + 0.5, bandwidth=bw)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_metrics_reject_non_finite_samples(bad, side):
@@ -345,17 +354,86 @@ def test_mmd2_self_is_exactly_zero_at_full_size():
     assert mmd2(x, x) == 0.0
 
 
-def test_mmd2_peak_memory_at_full_size():
-    # three 2000x2000 float64 blocks are 96 MB; the pooled 4000^2 build peaked at 320 MB
-    x = substream(57, "x").normal((2000, 2))
-    y = substream(58, "y").normal((2000, 2))
+def _mmd2_peak(x, y):
     tracemalloc.start()
     try:
-        mmd2(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
+        value = mmd2(x, y)
+        return value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200e6
+
+
+def test_mmd2_peak_memory_at_full_size():
+    # a whole-matrix build needs 160 MB here (three 2000x2000 float64 blocks
+    # and an 8M-pair median buffer); the blocked build stays near 4 MB
+    _, peak = _mmd2_peak(substream(57, "x").normal((2000, 2)), substream(58, "y").normal((2000, 2)))
+    assert peak <= 16e6
+
+
+def test_mmd2_peak_memory_at_6000_per_side():
+    _, peak = _mmd2_peak(substream(59, "x").normal((6000, 2)), substream(60, "y").normal((6000, 2)))
+    assert peak <= 16e6
+
+
+def test_mmd2_all_ties_equals_pooled_reference_in_bounded_memory():
+    # every middle pair has one bit pattern, so the median narrows through all four levels
+    x = np.tile([[0.3, -1.2]], (2000, 1))
+    y = np.tile([[1.7, 0.4]], (2000, 1))
+    bw = _pooled_median_bandwidth(x, y)
+    value, peak = _mmd2_peak(x, y)
+    assert median_bandwidth(x, y) == bw
+    assert value == _pooled_mmd2(x, y, bw)
+    assert peak <= 16e6
+
+
+@pytest.mark.parametrize("cap", [sampling_eval.MEDIAN_CAP, 1000, 0])
+def test_median_select_paths_equal_pooled_reference(monkeypatch, cap):
+    # cap 1000 and 0 force the narrowing passes; 1,000-entry blocks of 3 rows
+    # split the rows and triangles and leave one-row blocks at the ends
+    monkeypatch.setattr(sampling_eval, "MEDIAN_CAP", cap)
+    monkeypatch.setattr(sampling_eval, "BLOCK_ENTRIES", 1000)
+    stream = substream(61, "median-paths")
+    cases = {
+        "normal": (stream.normal((301, 2)), stream.normal((257, 2)) + 0.3),
+        "quantized": (np.round(stream.normal((300, 2)), 1), np.round(stream.normal((300, 2)), 1)),
+        "collapsed": (np.tile([[1.0, 0.0], [0.0, 1.0]], (150, 1)), np.tile([[0.0, 1.0]], (299, 1))),
+        # sorted pairs 0, 1, 1, 4, 9, 9: the middle ranks fall in two buckets
+        "straddle": (np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [3.0, 0.0]])),
+        "one side empty": (stream.normal((9, 2)), np.zeros((0, 2))),
+    }
+    for name, (x, y) in cases.items():
+        assert median_bandwidth(x, y) == _pooled_median_bandwidth(x, y), name
+    x, y = cases["normal"]
+    assert mmd2(x, y) == _pooled_mmd2(x, y, _pooled_median_bandwidth(x, y))
+    assert median_bandwidth(*cases["straddle"]) == np.sqrt(2.5)
+
+
+def test_one_row_block_rounds_like_a_row_of_a_bigger_block():
+    # numpy sends a one-row product to gemv, which rounds unlike gemm
+    a = substream(64, "a").normal((40, 2))
+    b = substream(64, "b").normal((2000, 2))
+    dists = sampling_eval._SqDists(a, b, 40)
+    whole = dists.rows(0, 40).copy()
+    for r in range(40):
+        assert np.array_equal(dists.rows(r, r + 1), whole[r:r + 1])
+
+
+@pytest.mark.parametrize("m,n,entries", [
+    (2000, 2000, None), (1999, 1999, None), (1000, 3000, None), (300, 301, None), (7, 7, None),
+    (5, 6, None), (300, 301, 1000), (257, 255, 128), (33, 1001, 128),
+])
+def test_kernel_sums_follow_numpy_pairwise_order(monkeypatch, m, n, entries):
+    # integer coordinates make every squared distance exact, so this checks only
+    # the summation: the leaf tree against k.sum() and the gathered diagonal
+    # against np.trace(k); small leaves split rows and fall inside single rows
+    if entries is not None:
+        monkeypatch.setattr(sampling_eval, "BLOCK_ENTRIES", entries)
+    stream = substream(62, f"tree/{m}x{n}")
+    a = np.floor(8.0 * stream.normal((m, 2)))
+    b = np.floor(8.0 * stream.normal((n, 2)))
+    inv = -0.5 / 7.3 ** 2
+    k = np.exp(inv * np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+    assert sampling_eval._kernel_sums(a, b, inv) == (k.sum(), np.trace(k))
 
 
 def test_moments_error_degenerate_cases():
