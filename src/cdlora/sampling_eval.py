@@ -195,13 +195,15 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
     all of x-y, then the upper triangles of x-x and y-y. A triangle's row
     block starts at its first row's column and comes as two parts, the
     strict upper triangle of its leading square and the columns right of
-    that square. Each block is overwritten by the next."""
-    for a, b in ((x, y), (x, x), (y, y)):
+    that square. Each block is overwritten by the next. The triangle flag
+    goes by position, not identity: for x is y the x-y pass is still the
+    whole square block."""
+    for a, b, triangle in ((x, y, False), (x, x, True), (y, y, True)):
         step = max(BLOCK_ENTRIES // max(len(b), 1), 2)
         dists = _SqDists(a, b, step)
         for r0 in range(0, len(a), step):
             r1 = min(r0 + step, len(a))
-            if a is b:
+            if triangle:
                 d = dists.rows(r0, r1, r0)
                 yield d[np.triu_indices(r1 - r0, 1)]
                 yield d[:, r1 - r0:]
@@ -227,8 +229,10 @@ def _median_sq(x: np.ndarray, y: np.ndarray) -> float:
     the answer, and middle ranks in two buckets are the largest pair at or
     under the lower bucket's top and the smallest pair over it.
 
-    Each pass rebuilds the distances in blocks of BLOCK_ENTRIES, so memory is
-    a few such blocks plus at most MEDIAN_CAP values at any sample count.
+    Each pass rebuilds the distances in blocks of BLOCK_ENTRIES (a block has
+    at least two rows, so past 32,768 columns it holds two rows instead), and
+    the gathering pass holds at most MEDIAN_CAP values: memory grows only
+    linearly with the sample count, O(m + n), never with m * n.
     """
     m, n = len(x), len(y)
     total = m * n + (m * (m - 1) + n * (n - 1)) // 2
@@ -332,8 +336,9 @@ def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
 
     No m x n matrix is built: the median and the kernel sums rebuild the
     distances in blocks of BLOCK_ENTRIES, so the tracemalloc peak is about
-    4 MB at 2,000 per side and at most MEDIAN_CAP values plus a few blocks
-    at any count. The sums add in numpy's own pairwise order, so the result
+    4 MB at 2,000 per side and grows only linearly, O(m + n), with the
+    sample counts (at most MEDIAN_CAP values, a few blocks of at least two
+    rows, and the per-row norms and diagonal). The sums add in numpy's own pairwise order, so the result
     is the float the whole-matrix build (kernel.sum() - np.trace(kernel) per
     block) gives, as long as BLAS rounds a block's products like the whole
     matrix's; README "Reproducibility" has the one known exception.

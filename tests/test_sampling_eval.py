@@ -354,6 +354,19 @@ def test_mmd2_self_is_exactly_zero_at_full_size():
     assert mmd2(x, x) == 0.0
 
 
+@pytest.mark.parametrize("m", [2, 3, 300])
+def test_same_array_object_on_both_sides_equals_pooled_reference(monkeypatch, m):
+    # one array passed as x and y: the x-y pass is still the whole square
+    # block, diagonal zeros included, not a triangle
+    x = substream(65, f"same-object/{m}").normal((m, 2))
+    bw = _pooled_median_bandwidth(x, x.copy())
+    assert median_bandwidth(x, x) == bw
+    assert mmd2(x, x) == 0.0
+    assert mmd2(x, x) == _pooled_mmd2(x, x, bw)
+    monkeypatch.setattr(sampling_eval, "BLOCK_ENTRIES", 128)
+    assert median_bandwidth(x, x) == bw
+
+
 def _mmd2_peak(x, y):
     tracemalloc.start()
     try:
