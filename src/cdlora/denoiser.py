@@ -30,6 +30,7 @@ from cdlora.tensor import (
     mul,
     scale_rows,
     silu,
+    silu_den,
     sub,
     taping,
     transpose,
@@ -42,6 +43,30 @@ SIGMA_DATA = 0.5
 # rows per block of an off-tape forward's trunk (embeddings and hidden layers):
 # a 256 x 128 float64 activation (256 KB) stays in a core's L2 cache between primitives
 BLOCK_ROWS = 256
+
+
+def _rows(flat: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Contiguous (r, c) view at the front of a flat buffer."""
+    return flat[: r * c].reshape(r, c)
+
+
+def _affine(x, w, b, lora, out, low, scratch) -> None:
+    """out = x w + s (x A^T) B^T + b in place, in _dense's order of operations.
+
+    lora is None or (A^T, B^T, s) with both transposes contiguous, as the
+    taped path's transpose primitive makes them; low and scratch are flat
+    buffers for the adapter's rank-wide product and its delta.
+    """
+    np.matmul(x, w, out=out)
+    if lora is not None:
+        at, bt, scale = lora
+        r = x.shape[0]
+        u = np.matmul(x, at, out=_rows(low, r, at.shape[1]))
+        delta = np.matmul(u, bt, out=_rows(scratch, r, bt.shape[1]))
+        if scale != 1.0:
+            delta *= scale
+        out += delta
+    out += b
 
 
 def sinusoidal_features(x, dim: int) -> np.ndarray:
@@ -158,16 +183,64 @@ class DenoiserNet:
             h = silu(self._dense(h, f"layer{i}", adapter))
         return h
 
+    def _blocked_trunk(self, z, tf, gf, cond, adapter) -> np.ndarray:
+        """_trunk off the tape, over near-equal row blocks of at most BLOCK_ROWS rows.
+
+        The blocks run through a few buffers allocated once per call:
+        np.matmul writes into them, then the adapter delta, the bias and SiLU
+        (through tensor.silu_den) apply in place, in the primitives' order of
+        operations, so the bits are the primitives' bits. The last hidden
+        layer of each block lands in one whole-batch array, which is returned.
+        """
+        m = z.shape[0]
+        layers = []
+        for name in ("time_proj", "guidance_proj", *(f"layer{i}" for i in range(self.n_layers - 1))):
+            entry = adapter.entries.get(f"{name}.weight") if adapter is not None else None
+            lora = None if entry is None else (np.ascontiguousarray(entry.a.data.T),
+                                               np.ascontiguousarray(entry.b.data.T), entry.scale)
+            layers.append((self.params[f"{name}.weight"].data, self.params[f"{name}.bias"].data, lora))
+        proj, hidden_layers = layers[:2], layers[2:]
+        parts = -(-m // BLOCK_ROWS)
+        size = -(-m // parts)  # rows of the largest block
+        width = max(w.shape[1] for w, _, _ in layers)
+        rank = max((lora[0].shape[1] for _, _, lora in layers if lora is not None), default=0)
+        x = np.empty((size, hidden_layers[0][0].shape[0]))
+        acts = (np.empty(size * width), np.empty(size * width))
+        # an adapter delta is spent before the SiLU denominator is needed
+        scratch = np.empty(size * width)
+        low = np.empty(size * rank)
+        hidden = np.empty((m, hidden_layers[-1][0].shape[1]))
+        table = self.params["cond_table"].data
+        blocks = (np.array_split(a, parts) for a in (hidden, z, tf, gf, cond))
+        for out, zb, tb, gb, cb in zip(*blocks):
+            r = zb.shape[0]
+            h = x[:r]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
+            c = self.data_dim
+            h[:, :c] = zb
+            for feats, (w, b, lora) in zip((tb, gb), proj):
+                _affine(feats, w, b, lora, h[:, c:c + w.shape[1]], low, scratch)
+                c += w.shape[1]
+            h[:, c:] = table[cb]
+            for i, (w, b, lora) in enumerate(hidden_layers):
+                dst = out if i == len(hidden_layers) - 1 else _rows(acts[i % 2], r, w.shape[1])
+                _affine(h, w, b, lora, dst, low, scratch)
+                dst /= silu_den(dst, _rows(scratch, r, w.shape[1]))
+                h = dst
+        return hidden
+
     def forward(self, z, omega, cond, t, adapter=None) -> Tensor:
         """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row.
 
         Off the tape, a batch of more than BLOCK_ROWS rows runs all but the
         output layer over near-equal row blocks of at most BLOCK_ROWS rows,
-        so each block's activations stay in cache. The output layer runs once
-        on the whole batch, since its narrow BLAS product rounds differently
-        for different row counts; the other products give the same bits for
-        any block of 2 or more rows (tests/test_denoiser.py checks this). On
-        the tape the block is the whole batch, so the graph is unchanged.
+        so each block's activations stay in cache. The blocks skip the
+        primitives: they run in place through buffers allocated once per
+        call (_blocked_trunk), with the primitives' arithmetic. The output
+        layer runs once on the whole batch, since its narrow BLAS product
+        rounds differently for different row counts; the other products give
+        the same bits for any block of 2 or more rows (tests/test_denoiser.py
+        checks this). On the tape, and for a batch of at most BLOCK_ROWS rows,
+        the whole batch runs through the primitives, so the graph is unchanged.
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.data_dim:
@@ -186,17 +259,12 @@ class DenoiserNet:
         # the inputs' one finiteness scan: NaN or Inf in z, t or omega raises here
         rows = [Tensor(z), Tensor(sinusoidal_features(t_arr, self.time_dim)),
                 Tensor(sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim))]
-        last = f"layer{self.n_layers - 1}"
         if taping() or m <= BLOCK_ROWS:
             h = self._trunk(*rows, cond_arr, adapter)
         else:
-            parts = -(-m // BLOCK_ROWS)
-            hidden = np.empty((m, self.params[f"{last}.weight"].shape[0]))
-            blocks = (np.array_split(a, parts) for a in (hidden, *(r.data for r in rows), cond_arr))
-            for out, zb, tb, gb, cb in zip(*blocks):
-                out[:] = self._trunk(_wrap(zb), _wrap(tb), _wrap(gb), cb, adapter).data
-            h = _wrap(hidden)  # a non-finite hidden value fails the output check below
-        h = self._dense(h, last, adapter)
+            # a non-finite hidden value fails the output check below
+            h = _wrap(self._blocked_trunk(*(r.data for r in rows), cond_arr, adapter))
+        h = self._dense(h, f"layer{self.n_layers - 1}", adapter)
         if not np.all(np.isfinite(h.data)):
             raise NonFiniteError("non-finite activations in denoiser forward")
         return h

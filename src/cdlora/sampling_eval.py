@@ -14,7 +14,7 @@ import numpy as np
 from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
 from cdlora.rng import substream
 from cdlora.schedule import NoiseSchedule
-from cdlora.solvers import cfg_target
+from cdlora.solvers import cfg_target, guidance_scales
 
 
 class SamplingError(ValueError):
@@ -114,6 +114,7 @@ def ddim_sample(
     """
     if not 1 <= S <= sched.N:
         raise SamplingError(f"DDIM steps {S} outside [1, N={sched.N}], the schedule's grid")
+    omega_arr = guidance_scales(omega, count)
     grid = np.unique(np.linspace(1, sched.N, S + 1).round().astype(int))[::-1]
     stream = substream(seed, "sample/ddim")
     z = stream.normal((count, net.data_dim))
@@ -125,7 +126,6 @@ def ddim_sample(
     for hi, lo in zip(grid[:-1], grid[1:]):
         z = cfg_target(z, int(hi), int(lo), cond_arr, net.null_id, omega, eps_fn, sched, kind=kind)
     n_last = int(grid[-1])
-    omega_arr = np.broadcast_to(np.asarray(omega, dtype=np.float64), (count,))
     t_last = sched.t_of(n_last)
     if np.any(omega_arr > 0.0):
         # both branches in one pass of 2 * count rows, as in cfg_target

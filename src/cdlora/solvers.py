@@ -119,6 +119,16 @@ def solver_increment(kind: str, z, n_hi, n_lo, eps_fn, sched: NoiseSchedule) -> 
     raise ValueError(f"unknown solver kind {kind!r}; expected one of {SOLVER_KINDS}")
 
 
+def guidance_scales(omega, m: int) -> np.ndarray:
+    """omega broadcast to m rows; NaN, Inf or a negative scale is a ScheduleError."""
+    omega_arr = np.broadcast_to(np.asarray(omega, dtype=np.float64), (m,))
+    if not np.all(np.isfinite(omega_arr)):
+        raise ScheduleError("guidance scale must be finite")
+    if np.any(omega_arr < 0.0):
+        raise ScheduleError("guidance scale must be non-negative")
+    return omega_arr
+
+
 def cfg_target(z, n_hi, n_lo, cond, null_cond, omega, eps_fn, sched: NoiseSchedule,
                kind: str = "ddim") -> np.ndarray:
     """Guidance-augmented solver target z_hat at t_lo.
@@ -135,9 +145,7 @@ def cfg_target(z, n_hi, n_lo, cond, null_cond, omega, eps_fn, sched: NoiseSchedu
     """
     z, hi, lo = _as_rows(z, n_hi, n_lo)
     m = z.shape[0]
-    omega_arr = np.broadcast_to(np.asarray(omega, dtype=np.float64), (m,))
-    if np.any(omega_arr < 0.0):
-        raise ScheduleError("guidance scale must be non-negative")
+    omega_arr = guidance_scales(omega, m)
     cond_arr = np.broadcast_to(np.asarray(cond, dtype=np.int64), (m,))
 
     if not np.any(omega_arr > 0.0):

@@ -5,6 +5,11 @@ scalar-by-tensor as the only broadcast, a handful of structured primitives the
 denoiser needs (bias rows, per-row scaling, embedding lookup, column concat),
 and a Wengert-list tape replayed in exact reverse execution order. No GPU, no
 general broadcasting, no views.
+
+SiLU takes one exp per element, x / (1 + exp(-x)), and its backward reuses
+that denominator. `silu_den` computes it into a caller's buffer, so the
+denoiser's buffer-reusing off-tape forward applies the same arithmetic in
+place.
 """
 
 from __future__ import annotations
@@ -249,30 +254,40 @@ def neg(a: Tensor) -> Tensor:
     return _record(-a.data, (a,), bwd)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(min(x, 0)) / (1 + exp(-|x|)): no exponent is positive, so nothing
-    # overflows, and both signs keep full relative precision (the tanh form
-    # 0.5 * (1 + tanh(x / 2)) loses it for x < 0)
-    den = np.abs(x)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    out = np.minimum(x, 0.0)
-    np.exp(out, out=out)
-    out /= den
+def silu_den(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write SiLU's denominator 1 + exp(-x) into out and return out.
+
+    silu(x) = x / den and sigmoid(x) = 1 / den keep full relative precision
+    for either sign. Below x = -709.78, exp(-x) overflows to inf, which is the
+    exact limit: x / inf is -0.0 and 1 / inf is 0.0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
     return out
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x); backward sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
+    """x * sigmoid(x) = x / (1 + exp(-x)) with one exp.
+
+    The backward rebuilds sigmoid(x) = 1 / den from the kept denominator:
+    sigmoid(x) * (1 + x * (1 - sigmoid(x))).
+    """
     x = a.data
-    # far-negative x underflows towards 0, which is the exact limit
+    den = silu_den(x, np.empty_like(x))
     with np.errstate(under="ignore"):
-        sig = _sigmoid(x)
-        y = x * sig
+        y = x / den
 
     def bwd(g):
-        return (g * (sig * (1.0 + x * (1.0 - sig))),)
+        with np.errstate(under="ignore"):
+            sig = 1.0 / den
+            d = 1.0 - sig
+            d *= x
+            d += 1.0
+            d *= sig
+            d *= g
+        return (d,)
 
     return _record(y, (a,), bwd)
 

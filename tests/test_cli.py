@@ -134,6 +134,17 @@ def test_sample_ddim_rejects_steps_above_N(run_root, teacher_ckpt, capsys):
     assert not (run_root / "bad.csv").exists()
 
 
+def test_sample_ddim_rejects_nan_omega(run_root, teacher_ckpt, capsys):
+    capsys.readouterr()
+    assert main(["sample", "--ckpt", str(teacher_ckpt), "--sampler", "ddim",
+                 "--steps", "10", "--omega", "nan", "--count", "4", "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "guidance scale" in err and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
+
+
 # an overflowing angle parses as inf; a "nan" cell parses as a NaN sample
 @pytest.mark.parametrize("case", ["angle", "sample"])
 def test_eval_rejects_non_finite_input(run_root, capsys, recwarn, case):

@@ -12,7 +12,7 @@ from cdlora.denoiser import (
 from cdlora.lora import attach
 from cdlora.rng import substream
 from cdlora.schedule import ScheduleError, make_schedule
-from cdlora.tensor import GradTape, NonFiniteError, Tensor, grad_check, silu, sum_all
+from cdlora.tensor import GradTape, NonFiniteError, Tensor, grad_check, silu, silu_den, sum_all
 
 
 def small_net(seed=0, hidden=(16, 16)):
@@ -137,22 +137,29 @@ def test_blocked_forward_equals_whole_batch_on_tape(m, adapted):
 
 
 def test_only_off_tape_forwards_are_blocked(monkeypatch):
+    # the blocked path applies SiLU in place through silu_den; the taped
+    # path calls the silu primitive, whose own silu_den is tensor's
     net, _ = _busy_net(43, False)
-    rows = []
+    calls = []
 
     def silu_rows(h):
-        rows.append(h.shape[0])
+        calls.append(("silu", h.shape[0]))
         return silu(h)
 
+    def den_rows(x, out):
+        calls.append(("silu_den", x.shape[0]))
+        return silu_den(x, out)
+
     monkeypatch.setattr(cdlora.denoiser, "silu", silu_rows)
+    monkeypatch.setattr(cdlora.denoiser, "silu_den", den_rows)
     z = np.zeros((600, 2))
     net.forward(z, 7.5, 0, 0.5)
     # three blocks of 200 rows (BLOCK_ROWS is 256), three hidden layers each
-    assert rows == [200] * 9
-    rows.clear()
+    assert calls == [("silu_den", 200)] * 9
+    calls.clear()
     with GradTape():
         net.forward(z, 7.5, 0, 0.5)
-    assert rows == [600] * 3
+    assert calls == [("silu", 600)] * 3
 
 
 @pytest.mark.parametrize("m", [3, 600], ids=["whole", "blocked"])

@@ -6,7 +6,7 @@ import pytest
 from cdlora.datasets import make_dataset
 from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.rng import substream
-from cdlora.schedule import make_schedule
+from cdlora.schedule import ScheduleError, make_schedule
 from cdlora.solvers import GaussianOracle, cfg_target, oracle_flow, solver_increment
 from cdlora import sampling_eval
 from cdlora.sampling_eval import (
@@ -143,6 +143,14 @@ def test_ddim_sample_rejects_steps_above_N():
     for S in (0, 51, 500):
         with pytest.raises(SamplingError, match="DDIM steps"):
             ddim_sample(net, sched, S, 0.0, 0, 4, seed=1)
+
+
+@pytest.mark.parametrize("omega", [np.nan, -np.inf])
+def test_ddim_sample_rejects_non_finite_omega(omega):
+    sched = make_schedule(50)
+    net = OracleNet(GaussianOracle(np.array([0.0, 0.0]), 1.0), sched)
+    with pytest.raises(ScheduleError, match="finite"):
+        ddim_sample(net, sched, 10, omega, 0, 4, seed=1)
 
 
 def test_ddim_sample_unguided_equals_omega_zero():

@@ -229,6 +229,14 @@ def test_cfg_rejects_negative_omega():
         cfg_target(np.zeros((1, 2)), 40, 20, 0, 7, -0.5, lambda x, t, c: x, sched)
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf, [7.5, np.nan]], ids=["nan", "inf", "per-row-nan"])
+def test_cfg_rejects_non_finite_omega(omega):
+    # a NaN scale is not > 0, so without the check it would run the w = 0 branch
+    sched = make_schedule(50)
+    with pytest.raises(ScheduleError, match="finite"):
+        cfg_target(np.zeros((2, 2)), 40, 20, 0, 7, omega, lambda x, t, c: x, sched)
+
+
 def test_per_row_indices():
     sched = make_schedule(50)
     oracle = GaussianOracle(np.array([1.0, 1.0]), 0.5)

@@ -8,7 +8,6 @@ from cdlora.tensor import (
     ShapeError,
     TapeError,
     Tensor,
-    _sigmoid,
     add,
     add_bias,
     concat_cols,
@@ -88,17 +87,49 @@ def test_silu_gradient_at_one():
     assert rel < 1e-6
 
 
+def _two_exp_silu(x):
+    """Reference SiLU and its derivative from the two-exp sigmoid
+    exp(min(x, 0)) / (1 + exp(-|x|)), which never overflows."""
+    with np.errstate(under="ignore"):
+        sig = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+        return x * sig, sig * (1.0 + x * (1.0 - sig))
+
+
+def _silu_and_grad(x):
+    xt = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        y = silu(xt)
+        tape.backward(sum_all(y))
+    return y.data, xt.grad
+
+
+def test_silu_matches_two_exp_reference():
+    stream = substream(24, "test/silu-ref")
+    x = np.concatenate([np.linspace(-700.0, 700.0, 200_001), 700.0 * (2.0 * stream.uniform(100_000) - 1.0),
+                        5.0 * stream.normal(100_000)])
+    y, g = _silu_and_grad(x)
+    ref_y, ref_g = _two_exp_silu(x)
+    nz = ref_y != 0.0
+    assert np.array_equal(y[~nz], ref_y[~nz])
+    assert np.max(np.abs(y[nz] - ref_y[nz]) / np.abs(ref_y[nz])) <= 6e-16
+    assert np.max(np.abs(g - ref_g)) <= 4.5e-16
+    # beyond |x| = 700 exp(-x) may overflow; the far-negative output is then -0.0
+    tails = np.concatenate([np.linspace(-800.0, -700.0, 10_001), np.linspace(700.0, 800.0, 10_001),
+                            [-1e300, 1e300]])
+    y, _ = _silu_and_grad(tails)
+    assert np.max(np.abs(y - _two_exp_silu(tails)[0])) <= 1e-300
+
+
 def test_silu_edge_values_raise_nothing():
     x = np.concatenate([np.linspace(-800.0, 800.0, 16_001), [-1e300, 1e300]])
     with np.errstate(all="raise"):
-        out = silu(Tensor(x)).data
-    sig = _sigmoid(x)
-    assert np.all((sig >= 0.0) & (sig <= 1.0))
-    assert np.all(np.isfinite(out))
-    with np.errstate(over="ignore", under="ignore"):
-        ref = 1.0 / (1.0 + np.exp(-x))
-    finite = np.isfinite(ref)
-    assert np.max(np.abs(sig[finite] - ref[finite])) <= 4e-16
+        y, g = _silu_and_grad(x)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(g))
+    # below x = -709.78 the denominator 1 + exp(-x) is inf: -0.0 out, zero gradient
+    far = x < -709.79
+    assert np.all(y[far] == 0.0) and np.all(np.signbit(y[far]))
+    assert np.all(g[far] == 0.0)
+    assert y[-1] == 1e300 and g[-1] == 1.0
 
 
 @pytest.mark.parametrize("center", [-30.0, 30.0])
