@@ -19,15 +19,9 @@ import numpy as np
 
 from cdlora.config import DEFAULTS, ConfigError, effective_json, load_config
 from cdlora.datasets import make_dataset
-from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet, consistency_forward
+from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet
 from cdlora.lora import attach, combine, count_trainable, merge
-from cdlora.persist import (
-    load_adapter,
-    load_net,
-    net_fingerprint,
-    save_adapter,
-    save_net,
-)
+from cdlora.persist import load_adapter, load_net, save_adapter, save_net
 from cdlora.rng import substream
 from cdlora.sampling_eval import (
     StepSchedule,
@@ -38,15 +32,13 @@ from cdlora.sampling_eval import (
     write_samples,
 )
 from cdlora.schedule import make_schedule
-from cdlora.solvers import cfg_target
-from cdlora.tensor import grad_check
 from cdlora.training import (
     DistillConfig,
     Encoder,
     MetricsLog,
     TrainOpts,
     acceleration_bundle,
-    consistency_distance,
+    distill_grad_check,
     finetune_style_lora,
     lcd_distill,
     train_teacher,
@@ -153,17 +145,15 @@ def cmd_distill_lcm(args) -> int:
     head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", cfg["net"]["sigma_data"]))
     metrics = MetricsLog()
     out.mkdir(parents=True, exist_ok=True)
-    fingerprint = net_fingerprint(teacher)
     every = cfg["distill"]["checkpoint_every"]
 
     def checkpoint_cb(step):
-        save_adapter(out / f"acceleration_step{step}.ckpt", acceleration_bundle(adapter, dcfg),
-                     fingerprint)
+        save_adapter(out / f"acceleration_step{step}.ckpt", acceleration_bundle(adapter, dcfg))
 
     bundle = lcd_distill(teacher, adapter, dataset, Encoder.identity(), sched, dcfg,
                          head=head, metrics=metrics, checkpoint_cb=checkpoint_cb,
                          checkpoint_every=every)
-    save_adapter(out / "acceleration.ckpt", bundle, fingerprint, {"config": cfg})
+    save_adapter(out / "acceleration.ckpt", bundle, {"config": cfg})
     _write_run_files(out, cfg, metrics)
     return 0
 
@@ -179,7 +169,7 @@ def cmd_finetune_style(args) -> int:
     bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched,
                                  _section_opts(TrainOpts, cfg, "style"), metrics=metrics)
     out.mkdir(parents=True, exist_ok=True)
-    save_adapter(out / "style.ckpt", bundle, net_fingerprint(teacher), {"config": cfg})
+    save_adapter(out / "style.ckpt", bundle, {"config": cfg})
     _write_run_files(out, cfg, metrics)
     return 0
 
@@ -189,15 +179,10 @@ def cmd_combine_lora(args) -> int:
     accel_path = _resolve(args.accel)
     style = load_adapter(style_path)
     accel = load_adapter(accel_path)
-    if style.base_fingerprint != accel.base_fingerprint:
-        raise ConfigError(
-            "adapters were built against different base architectures: "
-            f"style {style.base_fingerprint} vs acceleration {accel.base_fingerprint}"
-        )
     combined = combine(style, accel, args.l1, args.l2)
     combined.provenance["parent_files"] = [str(style_path), str(accel_path)]
     out = _resolve(args.out)
-    save_adapter(out, combined, style.base_fingerprint)
+    save_adapter(out, combined)
     _echo({"command": "combine-lora", "lambda1": args.l1, "lambda2": args.l2,
            "out": str(out), "parents": [str(style_path), str(accel_path)]})
     return 0
@@ -291,42 +276,9 @@ def cmd_gradcheck(args) -> int:
     if min(hidden) < 1:
         raise ValueError(f"--hidden {args.hidden}: every width must be at least 1")
     tic = time.perf_counter()
-    sched = make_schedule(50)
-    net = DenoiserNet(data_dim=2, hidden=hidden, num_conditions=8,
-                      stream=substream(args.seed, "init/net"))
-    stream = substream(args.seed, "gradcheck")
-    for name, p in net.params.items():
-        if name.endswith(".weight") and np.all(p.data == 0.0):
-            p.data[:] = 0.1 * stream.normal(p.shape)
-    adapter = attach(net, rank=args.rank, stream=substream(args.seed, "init/lora"),
-                     cap_rank=True)
-    for e in adapter.entries.values():
-        e.b.data[:] = 0.05 * stream.normal(e.b.shape)
-    head = ConsistencyHead.for_schedule(sched)
-    batch = args.batch
-    k = 5
-    z = stream.normal((batch, 2))
-    cond = stream.integers(batch, 0, 7)
-    n = stream.integers(batch, 1, sched.N - k)
-    omega = np.full(batch, 7.5)
-
-    def teacher_eps(x, t, c):
-        return net.forward(x, 0.0, c, t).data
-
-    from cdlora.schedule import add_noise
-    z_hi = add_noise(z, n + k, stream.normal((batch, 2)), sched)
-    z_hat = cfg_target(z_hi, n + k, n, cond, net.null_id, omega, teacher_eps, sched)
-    target = consistency_forward(net, head, sched, z_hat, omega, cond, n,
-                                 adapter=adapter).data
-
-    def loss_fn():
-        f = consistency_forward(net, head, sched, z_hi, omega, cond, n + k, adapter=adapter)
-        return consistency_distance(f, target, "l2", 0.01)
-
-    params = adapter.trainable_params()
-    rel = grad_check(loss_fn, params, h=args.h)
+    rel = distill_grad_check(args.seed, hidden, args.rank, args.batch, args.h)
     seconds = time.perf_counter() - tic
-    n_params = count_trainable(adapter)
+    n_params = count_trainable(attach(DenoiserNet(hidden=hidden), rank=args.rank, cap_rank=True))
     _echo({"command": "gradcheck", "max_rel_err": rel, "parameters": n_params,
            "hidden": list(hidden), "h": args.h, "seconds": round(seconds, 2),
            "tolerance": args.tolerance, "pass": bool(rel < args.tolerance)})

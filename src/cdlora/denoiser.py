@@ -11,7 +11,9 @@ identifiers that the adapter and checkpoint modules key off.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import json
 import math
 from dataclasses import dataclass
 
@@ -81,6 +83,16 @@ def sinusoidal_features(x, dim: int) -> np.ndarray:
     values, rows = np.unique(x, return_inverse=True)
     ang = values[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)[rows]
+
+
+def architecture_fingerprint(named_shapes) -> str:
+    """Stable hash of (layer name, shape) pairs for compatibility checks."""
+    payload = json.dumps([[n, list(s)] for n, s in named_shapes], sort_keys=False)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def net_fingerprint(net: "DenoiserNet") -> str:
+    return architecture_fingerprint(net.named_shapes())
 
 
 class DenoiserNet:

@@ -6,6 +6,8 @@ to its base. Adapters are first-class weight-space vectors: they can be
 merged into the base (W0 + s*BA), linearly combined with each other, or
 densified for inspection. Combination keeps the low-rank form by rank
 concatenation, which is algebraically the weighted sum of the dense deltas.
+An adapter records the architecture fingerprint of the network it was
+attached to, and check_fit rejects it on any other architecture.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from cdlora.denoiser import DenoiserNet
+from cdlora.denoiser import DenoiserNet, net_fingerprint
 from cdlora.tensor import Tensor
 
 
@@ -27,8 +29,11 @@ class AdapterError(ValueError):
 class LoraEntry:
     a: Tensor  # (rank, in)
     b: Tensor  # (out, rank)
-    rank: int
     scale: float
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
 
     def delta(self) -> np.ndarray:
         """Dense (in, out) weight delta s * (BA)^T in the row-vector convention."""
@@ -36,9 +41,14 @@ class LoraEntry:
 
 
 class LoraAdapter:
-    """Per-layer low-rank factors keyed by the wrapped layer's name."""
+    """Per-layer low-rank factors keyed by the wrapped layer's name.
 
-    def __init__(self, entries: Optional[dict] = None):
+    base is the architecture fingerprint (denoiser.net_fingerprint) of the
+    network the factors belong to.
+    """
+
+    def __init__(self, base: str, entries: Optional[dict] = None):
+        self.base = base
         self.entries: dict[str, LoraEntry] = entries if entries is not None else {}
 
     def trainable_params(self) -> list[Tensor]:
@@ -50,22 +60,31 @@ class LoraAdapter:
     def target_names(self) -> list[str]:
         return list(self.entries.keys())
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of all factors, keyed as checkpoint tensors."""
-        out = {}
-        for name, e in self.entries.items():
-            out[f"{name}.lora_A"] = e.a.data.copy()
-            out[f"{name}.lora_B"] = e.b.data.copy()
-        return out
-
     def detached_clone(self) -> "LoraAdapter":
-        clone = LoraAdapter()
+        clone = LoraAdapter(self.base)
         for name, e in self.entries.items():
             clone.entries[name] = LoraEntry(
-                a=Tensor(e.a.data.copy()), b=Tensor(e.b.data.copy()),
-                rank=e.rank, scale=e.scale,
+                a=Tensor(e.a.data.copy()), b=Tensor(e.b.data.copy()), scale=e.scale,
             )
         return clone
+
+
+def check_fit(adapter: LoraAdapter, net: DenoiserNet, source: str = "adapter") -> None:
+    """Raise AdapterError unless the adapter belongs to net's architecture.
+
+    The recorded base must equal net's fingerprint, and every entry's
+    factors must fit the layer it names; source names the adapter in the
+    second message.
+    """
+    fp = net_fingerprint(net)
+    if adapter.base != fp:
+        raise AdapterError("adapter/base architecture mismatch: adapter was built against "
+                           f"{adapter.base}, base network is {fp}")
+    layers = dict(net.named_shapes())
+    unfit = [name for name, e in adapter.entries.items()
+             if layers.get(name) != (e.a.shape[1], e.b.shape[0])]
+    if unfit:
+        raise AdapterError(f"{source} factors do not fit base layers {unfit}")
 
 
 @dataclass
@@ -74,15 +93,12 @@ class AdapterBundle:
 
     Roles: "acceleration" (produced by consistency distillation), "style"
     (produced by fine-tuning on a styled dataset), or "combined". Combined
-    bundles record both lambda weights and both parent roles. A bundle read
-    from disk carries the fingerprint of the base architecture it was built
-    against; a fresh one has None.
+    bundles record both lambda weights and both parent roles.
     """
 
     adapter: LoraAdapter
     role: str
     provenance: dict = field(default_factory=dict)
-    base_fingerprint: Optional[str] = None
 
 
 def attach(
@@ -102,14 +118,14 @@ def attach(
     A rank above a layer's min(d, k) is an error unless cap_rank is set, in
     which case the entry's rank is clipped to min(d, k); full-coverage
     attachment needs the cap because the output layer is as narrow as the
-    data. Ranks are recorded per entry.
+    data. The adapter records net's fingerprint as its base.
     """
     if rank < 1:
         raise AdapterError(f"rank must be >= 1, got {rank}")
     if target_names is None:
         target_names = net.weight_matrix_names()
     seen = set()
-    adapter = LoraAdapter()
+    adapter = LoraAdapter(net_fingerprint(net))
     for name in target_names:
         if name in seen:
             raise AdapterError(f"layer {name!r} targeted twice")
@@ -131,7 +147,6 @@ def attach(
         adapter.entries[name] = LoraEntry(
             a=Tensor(a, requires_grad=True),
             b=Tensor(np.zeros((d_out, r)), requires_grad=True),
-            rank=r,
             scale=scale,
         )
     net.set_trainable(False)
@@ -150,17 +165,11 @@ def count_trainable(adapter: LoraAdapter) -> int:
 
 def merge(base: DenoiserNet, adapter: LoraAdapter) -> DenoiserNet:
     """New network with W = W0 + s*BA folded into every targeted layer."""
+    check_fit(adapter, base)
     merged = base.clone()
     for name, e in adapter.entries.items():
-        param = merged.params.get(name)
-        if param is None:
-            raise AdapterError(f"adapter targets {name!r}, absent from the base network")
-        delta = e.delta()
-        if delta.shape != param.shape:
-            raise AdapterError(
-                f"adapter entry {name!r} has delta shape {delta.shape}, layer is {param.shape}"
-            )
-        merged.params[name] = Tensor(param.data + delta, requires_grad=param.requires_grad)
+        param = merged.params[name]
+        merged.params[name] = Tensor(param.data + e.delta(), requires_grad=param.requires_grad)
     return merged
 
 
@@ -175,9 +184,13 @@ def combine(style: AdapterBundle, accel: AdapterBundle, lambda1: float, lambda2:
     Shared layers get rank-concatenated factors with the lambda and scale
     weights folded into B, which equals the dense lambda1*D1 + lambda2*D2.
     A layer present in only one parent contributes that parent's scaled
-    delta (union semantics).
+    delta (union semantics). Parents built against different bases are
+    an AdapterError.
     """
-    out = LoraAdapter()
+    if style.adapter.base != accel.adapter.base:
+        raise AdapterError("adapters were built against different base architectures: "
+                           f"style {style.adapter.base} vs acceleration {accel.adapter.base}")
+    out = LoraAdapter(style.adapter.base)
     names = list(style.adapter.entries.keys())
     names += [n for n in accel.adapter.entries.keys() if n not in style.adapter.entries]
     for name in names:
@@ -191,11 +204,11 @@ def combine(style: AdapterBundle, accel: AdapterBundle, lambda1: float, lambda2:
                 )
             a = np.vstack([e1.a.data, e2.a.data])
             b = np.hstack([lambda1 * e1.scale * e1.b.data, lambda2 * e2.scale * e2.b.data])
-            out.entries[name] = LoraEntry(Tensor(a), Tensor(b), e1.rank + e2.rank, 1.0)
+            out.entries[name] = LoraEntry(Tensor(a), Tensor(b), 1.0)
         else:
             e, lam = (e1, lambda1) if e1 is not None else (e2, lambda2)
             out.entries[name] = LoraEntry(
-                Tensor(e.a.data.copy()), Tensor(lam * e.scale * e.b.data), e.rank, 1.0
+                Tensor(e.a.data.copy()), Tensor(lam * e.scale * e.b.data), 1.0
             )
     return AdapterBundle(
         adapter=out,

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cdlora.denoiser import DenoiserNet
-from cdlora.lora import AdapterBundle, AdapterError, LoraAdapter, LoraEntry
+from cdlora.denoiser import DenoiserNet, net_fingerprint
+from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, check_fit
 from cdlora.schedule import NoiseSchedule, make_schedule
 from cdlora.tensor import Tensor
 
@@ -34,12 +34,6 @@ class CorruptionError(CheckpointError):
 
 class VersionError(CheckpointError):
     """Unsupported checkpoint format version."""
-
-
-def architecture_fingerprint(named_shapes) -> str:
-    """Stable hash of (layer name, shape) pairs for compatibility checks."""
-    payload = json.dumps([[n, list(s)] for n, s in named_shapes], sort_keys=False)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
@@ -130,10 +124,6 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 # network and adapter checkpoints
 
 
-def net_fingerprint(net: DenoiserNet) -> str:
-    return architecture_fingerprint(net.named_shapes())
-
-
 def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
              extra: dict | None = None) -> None:
     meta = {
@@ -169,8 +159,7 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
     return net, sched, meta
 
 
-def save_adapter(path, bundle: AdapterBundle, base_fingerprint: str,
-                 extra: dict | None = None) -> None:
+def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None:
     adapter = bundle.adapter
     meta = {
         "kind": "adapter",
@@ -179,11 +168,15 @@ def save_adapter(path, bundle: AdapterBundle, base_fingerprint: str,
         "targets": adapter.target_names(),
         "ranks": {n: e.rank for n, e in adapter.entries.items()},
         "scales": {n: e.scale for n, e in adapter.entries.items()},
-        "base_fingerprint": base_fingerprint,
+        "base_fingerprint": adapter.base,
     }
     if extra:
         meta.update(extra)
-    save_checkpoint(path, adapter.snapshot(), meta)
+    tensors = {}
+    for name, e in adapter.entries.items():
+        tensors[f"{name}.lora_A"] = e.a.data
+        tensors[f"{name}.lora_B"] = e.b.data
+    save_checkpoint(path, tensors, meta)
 
 
 def _adapter_problems(tensors: dict, meta: dict) -> list[str]:
@@ -224,25 +217,13 @@ def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
     problems = _adapter_problems(tensors, meta)
     if problems:
         raise CheckpointError(f"{path} adapter record: {', '.join(problems)}")
-    if base_net is not None:
-        fp = net_fingerprint(base_net)
-        if fp != meta["base_fingerprint"]:
-            raise AdapterError(
-                "adapter/base architecture mismatch: adapter was built against "
-                f"{meta['base_fingerprint']}, base network is {fp}"
-            )
-        layers = dict(base_net.named_shapes())
-        unfit = [name for name in meta["targets"] if layers.get(name) != (
-            tensors[f"{name}.lora_A"].shape[1], tensors[f"{name}.lora_B"].shape[0])]
-        if unfit:
-            raise AdapterError(f"{path} adapter factors do not fit base layers {unfit}")
-    adapter = LoraAdapter()
+    adapter = LoraAdapter(meta["base_fingerprint"])
     for name in meta["targets"]:
         adapter.entries[name] = LoraEntry(
             a=Tensor(tensors[f"{name}.lora_A"], requires_grad=True),
             b=Tensor(tensors[f"{name}.lora_B"], requires_grad=True),
-            rank=meta["ranks"][name],
             scale=meta["scales"][name],
         )
-    return AdapterBundle(adapter=adapter, role=meta["role"], provenance=meta["provenance"],
-                         base_fingerprint=meta["base_fingerprint"])
+    if base_net is not None:
+        check_fit(adapter, base_net, f"{path} adapter")
+    return AdapterBundle(adapter=adapter, role=meta["role"], provenance=meta["provenance"])

@@ -75,6 +75,7 @@ def lcm_multistep_sample(
     final x0 batch is the sample set. f_fn(z, tau) -> x0 substitutes for the
     network-backed consistency function (validation against exact transports).
     """
+    guidance_scales(omega, count)  # a NaN, Inf or negative scale fails before any draw
     if steps.indices[0] != sched.N:
         raise SamplingError(
             f"step schedule must start at N={sched.N}, got {steps.indices[0]}"

@@ -20,11 +20,11 @@ import numpy as np
 
 from cdlora.datasets import Dataset2D
 from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
-from cdlora.lora import AdapterBundle, AdapterError, LoraAdapter
+from cdlora.lora import AdapterBundle, AdapterError, LoraAdapter, attach, check_fit
 from cdlora.rng import substream
-from cdlora.schedule import NoiseSchedule, add_noise
+from cdlora.schedule import NoiseSchedule, add_noise, make_schedule
 from cdlora.solvers import SOLVER_KINDS, cfg_target
-from cdlora.tensor import GradTape, Tensor, add, mean_all, sqrt, square, sub, sum_rows
+from cdlora.tensor import GradTape, Tensor, add, grad_check, mean_all, sqrt, square, sub, sum_rows
 
 
 class DivergenceError(ArithmeticError):
@@ -387,15 +387,7 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
     with the EMA branch stop-gradiented; update the EMA shadow.
     """
     cfg.validate(sched.N)
-    for name, entry in adapter.entries.items():
-        param = teacher.params.get(name)
-        if param is None:
-            raise AdapterError(f"adapter targets {name!r}, absent from the teacher")
-        if (entry.a.shape[1], entry.b.shape[0]) != param.shape:
-            raise AdapterError(
-                f"adapter entry {name!r} ({entry.b.shape[0]}x{entry.a.shape[1]}) does not "
-                f"match teacher layer {param.shape}"
-            )
+    check_fit(adapter, teacher)
     if len(dataset.x) == 0:
         raise ValueError("empty dataset")
     teacher.set_trainable(False)
@@ -457,6 +449,7 @@ def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dat
                         metrics: Optional[MetricsLog] = None) -> AdapterBundle:
     """Diffusion-loss fine-tuning with only the adapter factors trainable."""
     opts.validate()
+    check_fit(adapter, teacher)
     if len(dataset.x) == 0:
         raise ValueError("empty dataset")
     for entry in adapter.entries.values():
@@ -467,3 +460,41 @@ def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dat
         _diffusion_train("style", teacher, adapter.trainable_params(), dataset, encoder,
                          sched, opts, adapter, metrics=metrics)
     return AdapterBundle(adapter=adapter, role="style", provenance={})
+
+
+def distill_grad_check(seed: int, hidden: tuple, rank: int, batch: int, h: float) -> float:
+    """Finite-difference check of the distillation loss over adapter factors.
+
+    On a 50-step schedule, the zero-init weights and every B factor get
+    random values, so no gradient is trivially zero; then cond, n, z and
+    the noise are drawn in that order from the "gradcheck" stream. Returns
+    grad_check's worst relative error.
+    """
+    sched = make_schedule(50)
+    net = DenoiserNet(data_dim=2, hidden=hidden, num_conditions=8,
+                      stream=substream(seed, "init/net"))
+    stream = substream(seed, "gradcheck")
+    for name, p in net.params.items():
+        if name.endswith(".weight") and np.all(p.data == 0.0):
+            p.data[:] = 0.1 * stream.normal(p.shape)
+    adapter = attach(net, rank=rank, stream=substream(seed, "init/lora"), cap_rank=True)
+    for e in adapter.entries.values():
+        e.b.data[:] = 0.05 * stream.normal(e.b.shape)
+    head = ConsistencyHead.for_schedule(sched)
+    k = 5
+    cond = stream.integers(batch, 0, 7)
+    n = stream.integers(batch, 1, sched.N - k)
+    omega = np.full(batch, 7.5)
+    z_hi = add_noise(stream.normal((batch, 2)), n + k, stream.normal((batch, 2)), sched)
+
+    def teacher_eps(x, t, c):
+        return net.forward(x, 0.0, c, t).data
+
+    z_hat = cfg_target(z_hi, n + k, n, cond, net.null_id, omega, teacher_eps, sched)
+    target = consistency_forward(net, head, sched, z_hat, omega, cond, n, adapter=adapter).data
+
+    def loss_fn():
+        f = consistency_forward(net, head, sched, z_hi, omega, cond, n + k, adapter=adapter)
+        return consistency_distance(f, target, "l2", 0.01)
+
+    return grad_check(loss_fn, adapter.trainable_params(), h=h)

@@ -11,8 +11,7 @@ import cdlora.persist
 from cdlora.cli import main
 from cdlora.denoiser import DenoiserNet
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, attach
-from cdlora.persist import (load_adapter, load_checkpoint, load_net, net_fingerprint,
-                             save_adapter, save_net)
+from cdlora.persist import load_adapter, load_checkpoint, load_net, save_adapter, save_net
 from cdlora.schedule import make_schedule
 from cdlora.sampling_eval import read_samples, write_samples
 from cdlora.tensor import Tensor
@@ -145,6 +144,19 @@ def test_sample_ddim_rejects_nan_omega(run_root, teacher_ckpt, capsys):
     assert not (run_root / "bad.csv").exists()
 
 
+@pytest.mark.parametrize("omega", ["nan", "inf"])
+def test_sample_lcm_rejects_non_finite_omega(run_root, teacher_ckpt, capsys, recwarn, omega):
+    capsys.readouterr()
+    assert main(["sample", "--ckpt", str(teacher_ckpt), "--sampler", "lcm",
+                 "--steps", "2", "--omega", omega, "--count", "4", "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "guidance scale" in err and "\n" not in err
+    assert len(recwarn) == 0
+    assert not (run_root / "bad.csv").exists()
+
+
 # an overflowing angle parses as inf; a "nan" cell parses as a NaN sample
 @pytest.mark.parametrize("case", ["angle", "sample"])
 def test_eval_rejects_non_finite_input(run_root, capsys, recwarn, case):
@@ -165,10 +177,10 @@ def test_eval_rejects_non_finite_input(run_root, capsys, recwarn, case):
 
 def test_param_count_formula(run_root, capsys):
     # single 4x6 layer at rank 2 -> 2 * (4 + 6) = 20
-    adapter = LoraAdapter({
-        "layer0.weight": LoraEntry(Tensor(np.zeros((2, 6))), Tensor(np.zeros((4, 2))), 2, 1.0)
+    adapter = LoraAdapter("fp", {
+        "layer0.weight": LoraEntry(Tensor(np.zeros((2, 6))), Tensor(np.zeros((4, 2))), 1.0)
     })
-    save_adapter(run_root / "toy.ckpt", AdapterBundle(adapter, "style", {}), "fp")
+    save_adapter(run_root / "toy.ckpt", AdapterBundle(adapter, "style", {}))
     assert main(["param-count", "--adapter", "toy.ckpt"]) == 0
     assert capsys.readouterr().out.strip() == "20"
 
@@ -228,10 +240,10 @@ def test_combine_rejects_different_bases(run_root, teacher_ckpt, capsys):
 
 
 def _toy_adapter(run_root, name, role, fingerprint):
-    adapter = LoraAdapter({
-        "layer0.weight": LoraEntry(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 2, 1.0)
+    adapter = LoraAdapter(fingerprint, {
+        "layer0.weight": LoraEntry(Tensor(np.ones((2, 6))), Tensor(np.ones((4, 2))), 1.0)
     })
-    save_adapter(run_root / name, AdapterBundle(adapter, role, {}), fingerprint)
+    save_adapter(run_root / name, AdapterBundle(adapter, role, {}))
 
 
 def test_combine_reads_each_parent_once(run_root, monkeypatch, capsys):
@@ -251,7 +263,7 @@ def test_combine_reads_each_parent_once(run_root, monkeypatch, capsys):
                  "--out", "c.ckpt"]) == 0
     assert sorted(reads) == ["a.ckpt", "s.ckpt"]
     monkeypatch.undo()
-    assert load_adapter(run_root / "c.ckpt").base_fingerprint == "fp"
+    assert load_adapter(run_root / "c.ckpt").adapter.base == "fp"
 
 
 def test_combine_fingerprint_mismatch_message(run_root, capsys):
@@ -318,8 +330,7 @@ def test_sample_rejects_adapter_manifest_without_targets(run_root, capsys):
     save_net(run_root / "net.ckpt", net, make_schedule(10),
              {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
     adapter = attach(net, rank=2, cap_rank=True)
-    save_adapter(run_root / "a.ckpt", AdapterBundle(adapter, "acceleration", {}),
-                 net_fingerprint(net))
+    save_adapter(run_root / "a.ckpt", AdapterBundle(adapter, "acceleration", {}))
     path = run_root / "a.ckpt" / "manifest.json"
     manifest = json.loads(path.read_text())
     del manifest["metadata"]["targets"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cdlora.denoiser import DenoiserNet
+from cdlora.datasets import make_dataset
+from cdlora.denoiser import DenoiserNet, net_fingerprint
 from cdlora.lora import (
     AdapterBundle,
     AdapterError,
@@ -13,9 +14,11 @@ from cdlora.lora import (
     materialize,
     merge,
 )
+from cdlora.persist import load_adapter, save_adapter
 from cdlora.rng import substream
 from cdlora.schedule import make_schedule
 from cdlora.tensor import GradTape, Tensor, sum_all
+from cdlora.training import DistillConfig, Encoder, TrainOpts, finetune_style_lora, lcd_distill
 
 
 def make_net(seed=0, hidden=(16, 16)):
@@ -63,6 +66,7 @@ def test_attach_shapes():
     entry = adapter.entries["layer1.weight"]
     assert entry.a.shape == (4, 128)
     assert entry.b.shape == (128, 4)
+    assert entry.rank == 4
 
 
 def test_attach_errors():
@@ -85,14 +89,14 @@ def test_attach_freezes_base():
 
 
 def test_count_single_layer():
-    e = LoraEntry(Tensor(np.zeros((2, 6))), Tensor(np.zeros((4, 2))), 2, 1.0)
-    assert count_trainable(LoraAdapter({"x.weight": e})) == 20
+    e = LoraEntry(Tensor(np.zeros((2, 6))), Tensor(np.zeros((4, 2))), 1.0)
+    assert count_trainable(LoraAdapter("fp", {"x.weight": e})) == 20
 
 
 def test_count_two_layers():
-    a = LoraAdapter({
-        "p.weight": LoraEntry(Tensor(np.zeros((4, 128))), Tensor(np.zeros((128, 4))), 4, 1.0),
-        "q.weight": LoraEntry(Tensor(np.zeros((4, 128))), Tensor(np.zeros((2, 4))), 4, 1.0),
+    a = LoraAdapter("fp", {
+        "p.weight": LoraEntry(Tensor(np.zeros((4, 128))), Tensor(np.zeros((128, 4))), 1.0),
+        "q.weight": LoraEntry(Tensor(np.zeros((4, 128))), Tensor(np.zeros((2, 4))), 1.0),
     })
     assert count_trainable(a) == 4 * 256 + 4 * 130
 
@@ -127,7 +131,7 @@ def test_merge_hand_example():
                       stream=substream(0, "init"))
     net.params["layer0.weight"] = Tensor(np.eye(12, 2))  # identity block on the z slice
     entry = LoraEntry(a=Tensor(np.array([[0.0, 1.0]])), b=Tensor(np.array([[1.0], [0.0]])),
-                      rank=1, scale=1.0)
+                      scale=1.0)
     # delta^T = B@A = [[0,1],[0,0]]
     np.testing.assert_array_equal(entry.delta().T, [[0.0, 1.0], [0.0, 0.0]])
 
@@ -150,8 +154,8 @@ def test_merge_equals_adapter_path():
 
 def test_merge_shape_mismatch():
     net = make_net()
-    bad = LoraAdapter({
-        "layer0.weight": LoraEntry(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), 2, 1.0)
+    bad = LoraAdapter(net_fingerprint(net), {
+        "layer0.weight": LoraEntry(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), 1.0)
     })
     with pytest.raises(AdapterError):
         merge(net, bad)
@@ -193,7 +197,7 @@ def test_combine_records_provenance():
     assert combined.provenance["lambda2"] == 1.0
     assert combined.provenance["parents"] == ["style", "acceleration"]
     shared = next(iter(combined.adapter.entries.values()))
-    assert shared.rank == 3 + 5 and shared.scale == 1.0
+    assert shared.rank == 3 + 5 == shared.a.shape[0] and shared.scale == 1.0
 
 
 def test_combine_union_semantics():
@@ -217,6 +221,46 @@ def test_combine_incompatible_dims():
     s2 = attach(net_b, target_names=["layer1.weight"], rank=2, stream=substream(63, "s"))
     with pytest.raises(AdapterError):
         combine(AdapterBundle(s1, "style"), AdapterBundle(s2, "acceleration"), 1.0, 1.0)
+
+
+def test_combine_rejects_different_bases():
+    # the shared layer has one shape in both nets, so only the recorded bases differ
+    net_a = make_net(seed=64)
+    net_b = DenoiserNet(data_dim=2, hidden=(16, 16, 16), num_conditions=8,
+                        stream=substream(65, "init"))
+    s1 = attach(net_a, target_names=["layer1.weight"], rank=2, stream=substream(66, "s"))
+    s2 = attach(net_b, target_names=["layer1.weight"], rank=2, stream=substream(67, "s"))
+    with pytest.raises(AdapterError) as err:
+        combine(AdapterBundle(s1, "style"), AdapterBundle(s2, "acceleration"), 1.0, 1.0)
+    assert str(err.value) == ("adapters were built against different base architectures: "
+                              f"style {net_fingerprint(net_a)} vs acceleration "
+                              f"{net_fingerprint(net_b)}")
+
+
+@pytest.mark.parametrize("use", ["merge", "lcd_distill", "finetune_style_lora", "load_adapter"])
+def test_foreign_adapter_rejected_with_one_message(tmp_path, use):
+    net = make_net()
+    other = DenoiserNet(data_dim=2, hidden=(16, 16, 16), num_conditions=8,
+                        stream=substream(1, "init"))
+    # layer0 and layer1 have the same shapes in both nets; layer3 exists only in other
+    foreign = attach(other, target_names=["layer0.weight", "layer1.weight", "layer3.weight"],
+                     rank=2, stream=substream(2, "s"))
+    save_adapter(tmp_path / "f.ckpt", AdapterBundle(foreign, "style"))
+    sched = make_schedule(50)
+    data = make_dataset("ring8", 64, 0)
+    calls = {
+        "merge": lambda: merge(net, foreign),
+        "lcd_distill": lambda: lcd_distill(net, foreign, data, Encoder.identity(), sched,
+                                           DistillConfig(steps=1)),
+        "finetune_style_lora": lambda: finetune_style_lora(net, foreign, data,
+                                                           Encoder.identity(), sched,
+                                                           TrainOpts(steps=1)),
+        "load_adapter": lambda: load_adapter(tmp_path / "f.ckpt", base_net=net),
+    }
+    with pytest.raises(AdapterError) as err:
+        calls[use]()
+    assert str(err.value) == ("adapter/base architecture mismatch: adapter was built against "
+                              f"{net_fingerprint(other)}, base network is {net_fingerprint(net)}")
 
 
 def test_frozen_base_gets_zero_gradient():

@@ -3,17 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from cdlora.denoiser import DenoiserNet
+from cdlora.denoiser import DenoiserNet, architecture_fingerprint, net_fingerprint
 from cdlora.lora import AdapterBundle, AdapterError, attach
 from cdlora.persist import (
     CheckpointError,
     CorruptionError,
     VersionError,
-    architecture_fingerprint,
     load_adapter,
     load_checkpoint,
     load_net,
-    net_fingerprint,
     save_adapter,
     save_checkpoint,
     save_net,
@@ -166,7 +164,7 @@ def test_adapter_round_trip_and_pairing(tmp_path):
     for e in adapter.entries.values():
         e.b.data[:] = substream(4, "b").normal(e.b.shape)
     bundle = AdapterBundle(adapter, "acceleration", {"solver": "ddim", "k": 5})
-    save_adapter(tmp_path / "a.ckpt", bundle, net_fingerprint(net))
+    save_adapter(tmp_path / "a.ckpt", bundle)
     loaded = load_adapter(tmp_path / "a.ckpt", base_net=net)
     assert loaded.role == "acceleration"
     assert loaded.provenance["k"] == 5
@@ -174,7 +172,7 @@ def test_adapter_round_trip_and_pairing(tmp_path):
         le = loaded.adapter.entries[name]
         assert np.array_equal(le.a.data, e.a.data)
         assert np.array_equal(le.b.data, e.b.data)
-        assert le.rank == e.rank and le.scale == e.scale
+        assert le.rank == e.rank == le.a.shape[0] and le.scale == e.scale
     other = DenoiserNet(data_dim=2, hidden=(24,), num_conditions=8,
                         stream=substream(5, "init"))
     with pytest.raises(AdapterError) as err:
@@ -186,8 +184,7 @@ def _adapter_record(tmp_path):
     """A saved rank-2 adapter's tensors and metadata, ready to corrupt and re-save."""
     net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2, stream=substream(8, "init"))
     adapter = attach(net, rank=2, stream=substream(9, "lora"), cap_rank=True)
-    save_adapter(tmp_path / "a.ckpt", AdapterBundle(adapter, "style", {"k": 1}),
-                 net_fingerprint(net))
+    save_adapter(tmp_path / "a.ckpt", AdapterBundle(adapter, "style", {"k": 1}))
     tensors, meta = load_checkpoint(tmp_path / "a.ckpt")
     return net, tensors, meta
 
@@ -242,7 +239,7 @@ def test_kind_mismatch(tmp_path):
     with pytest.raises(CheckpointError):
         load_adapter(tmp_path / "net.ckpt")
     adapter = attach(net, rank=2, stream=substream(7, "l"), cap_rank=True)
-    save_adapter(tmp_path / "a.ckpt", AdapterBundle(adapter, "style", {}), "abc")
+    save_adapter(tmp_path / "a.ckpt", AdapterBundle(adapter, "style", {}))
     with pytest.raises(CheckpointError):
         load_net(tmp_path / "a.ckpt")
 
