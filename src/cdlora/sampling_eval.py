@@ -147,8 +147,10 @@ def ddim_sample(
 # many whole rows as fit, and the kernel sums' leaves are this long
 BLOCK_ENTRIES = 2 ** 16
 # most pair values the median gathers for its final partition (8 MB); a
-# fuller middle bucket is first narrowed by the next 16 bits
+# fuller middle bucket of the radix select is first narrowed by the next 16 bits
 MEDIAN_CAP = 2 ** 20
+# pairs drawn to place the median's window (512 KB of values)
+MEDIAN_DRAWS = 2 ** 16
 
 
 class _SqDists:
@@ -186,6 +188,11 @@ class _SqDists:
 def _finite_samples(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1] or len(x) + len(y) < 2:
+        raise SamplingError(
+            f"samples must be 2-D with the same number of columns and at least two rows "
+            f"in all, got shapes {x.shape} and {y.shape}"
+        )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SamplingError("samples must be finite, got NaN or Inf")
     return x, y
@@ -196,18 +203,24 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
     all of x-y, then the upper triangles of x-x and y-y. A triangle's row
     block starts at its first row's column and comes as two parts, the
     strict upper triangle of its leading square and the columns right of
-    that square. Each block is overwritten by the next. The triangle flag
-    goes by position, not identity: for x is y the x-y pass is still the
-    whole square block."""
+    that square; the triangle's index is built once per block height. Each
+    block is overwritten by the next. The triangle flag goes by position,
+    not identity: for x is y the x-y pass is still the whole square
+    block."""
     for a, b, triangle in ((x, y, False), (x, x, True), (y, y, True)):
         step = max(BLOCK_ENTRIES // max(len(b), 1), 2)
         dists = _SqDists(a, b, step)
+        height = min(step, len(a))
+        upper = np.triu_indices(height, 1) if triangle else None
         for r0 in range(0, len(a), step):
             r1 = min(r0 + step, len(a))
             if triangle:
+                if r1 - r0 != height:  # the last, shorter block
+                    height = r1 - r0
+                    upper = np.triu_indices(height, 1)
                 d = dists.rows(r0, r1, r0)
-                yield d[np.triu_indices(r1 - r0, 1)]
-                yield d[:, r1 - r0:]
+                yield d[upper]
+                yield d[:, height:]
             else:
                 yield dists.rows(r0, r1)
 
@@ -216,29 +229,96 @@ def _pattern_value(bits: int) -> float:
     return float(np.int64(bits).view(np.float64))
 
 
+def _middle(pairs: np.ndarray, ranks: np.ndarray) -> float:
+    """Mean of the values at ranks (one or two adjacent) of pairs, which is
+    partitioned in place."""
+    pairs.partition(ranks)
+    mid = pairs[ranks]
+    return float((mid[0] + mid[-1]) / 2.0)
+
+
 def _median_sq(x: np.ndarray, y: np.ndarray) -> float:
     """Median squared distance over the distinct pairs of the pooled sample.
 
     The pairs are the whole x-y block plus the upper triangles of the x-x and
-    y-y blocks, the same multiset as the pooled matrix's upper triangle. The
-    median is an exact radix select on the pairs' float64 bit patterns (a
-    non-negative double orders like its int64 pattern). A first pass counts
-    the pairs by their top 16 bits. While the bucket that holds the middle
-    ranks has more than MEDIAN_CAP pairs, another pass counts that bucket's
-    pairs by their next 16 bits. A last pass gathers the bucket's pairs and
-    partitions them. Two shortcuts end early: a bucket of one bit pattern is
-    the answer, and middle ranks in two buckets are the largest pair at or
-    under the lower bucket's top and the smallest pair over it.
+    y-y blocks, the same multiset as the pooled matrix's upper triangle. One
+    sweep over them counts the pairs under a window of values that likely
+    holds the middle ranks (_median_window) and gathers the pairs inside it;
+    if the middle ranks are among the gathered pairs, a partition of those
+    gives the exact median. A window that misses them or overflows its room
+    sends the call to the exact radix select (_radix_median_sq), which costs
+    two or more sweeps. Either way the result is the np.median of the pooled
+    pairs.
 
-    Each pass rebuilds the distances in blocks of BLOCK_ENTRIES (a block has
-    at least two rows, so past 32,768 columns it holds two rows instead), and
-    the gathering pass holds at most MEDIAN_CAP values: memory grows only
-    linearly with the sample count, O(m + n), never with m * n.
+    The sweep rebuilds the distances in blocks of BLOCK_ENTRIES (a block has
+    at least two rows, so past 32,768 columns it holds two rows instead) and
+    gathers at most MEDIAN_CAP values: memory grows only linearly with the
+    sample count, O(m + n), never with m * n.
     """
     m, n = len(x), len(y)
     total = m * n + (m * (m - 1) + n * (n - 1)) // 2
     k = total // 2
     ranks = np.array([k - 1, k] if total % 2 == 0 else [k])
+    window = _median_window(x, y, total)
+    if window is not None:
+        lo_sq, hi_sq, room = window
+        pairs = np.empty(room)
+        below, filled = 0, 0
+        for seg in _pair_blocks(x, y):
+            under = seg < lo_sq
+            below += np.count_nonzero(under)
+            seg = seg[(seg <= hi_sq) ^ under]
+            if filled + len(seg) > room:  # the window overflows
+                break
+            pairs[filled:filled + len(seg)] = seg
+            filled += len(seg)
+        else:
+            if below <= ranks[0] and ranks[-1] < below + filled:
+                return _middle(pairs[:filled], ranks - below)
+    return _radix_median_sq(x, y, ranks)
+
+
+def _median_window(x: np.ndarray, y: np.ndarray, total: int):
+    """(lo, hi, room): a range of squared distances that holds the middle of
+    the total pooled pairs with high probability, and the number of pairs the
+    sweep may gather from it; None when no such range fits in MEDIAN_CAP.
+
+    With at most MEDIAN_DRAWS pairs the range is everything. Otherwise it
+    spans 4 standard deviations of rank either side of the middle of
+    MEDIAN_DRAWS pairs drawn uniformly from the pooled sample's distinct
+    pairs; drawn, not strided, so that no order of the rows (samples laid out
+    by condition, say) can bias it. Its room is twice the pairs it is
+    expected to hold, total / 32, so past about 4,000 rows a side it would
+    not fit.
+    """
+    draws = MEDIAN_DRAWS
+    half = 2 * math.isqrt(draws)
+    room = total if total <= draws else -(-4 * half * total // draws)
+    if room > MEDIAN_CAP:
+        return None
+    if total <= draws:
+        return -math.inf, math.inf, room
+    pooled = np.concatenate([x, y])
+    stream = substream(0, "median-window")
+    i = stream.integers(draws, 0, len(pooled) - 1)
+    j = (i + stream.integers(draws, 1, len(pooled) - 1)) % len(pooled)
+    diff = np.take(pooled, i, axis=0) - np.take(pooled, j, axis=0)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    edges = [draws // 2 - half, draws // 2 + half]
+    sq.partition(edges)
+    return float(sq[edges[0]]), float(sq[edges[1]]), room
+
+
+def _radix_median_sq(x: np.ndarray, y: np.ndarray, ranks: np.ndarray) -> float:
+    """The mean of the pooled pairs at ranks (the middle one or two), by an
+    exact radix select on their float64 bit patterns (a non-negative double
+    orders like its int64 pattern). A first pass counts the pairs by their
+    top 16 bits. While the bucket that holds the middle ranks has more than
+    MEDIAN_CAP pairs, another pass counts that bucket's pairs by their next
+    16 bits. A last pass gathers the bucket's pairs and partitions them. Two
+    shortcuts end early: a bucket of one bit pattern is the answer, and
+    middle ranks in two buckets are the largest pair at or under the lower
+    bucket's top and the smallest pair over it."""
     lo, below = 0, 0  # the bucket's lowest bit pattern, and the pairs under it
     for shift in (48, 32, 16, 0):
         if shift < 48:  # narrowing: count only the pairs inside the bucket
@@ -276,9 +356,7 @@ def _median_sq(x: np.ndarray, y: np.ndarray) -> float:
         seg = seg[(seg >= lo_v) & (seg <= hi_v)]
         pairs[filled:filled + len(seg)] = seg
         filled += len(seg)
-    pairs.partition(ranks - below)
-    mid = pairs[ranks - below]
-    return float((mid[0] + mid[-1]) / 2.0)
+    return _middle(pairs, ranks - below)
 
 
 def _kernel_sums(a: np.ndarray, b: np.ndarray, inv: float) -> tuple[float, float]:
@@ -287,13 +365,14 @@ def _kernel_sums(a: np.ndarray, b: np.ndarray, inv: float) -> tuple[float, float
 
     numpy sums a contiguous array pairwise: a range of more than 128 entries
     splits at n2 = n // 2 - (n // 2) % 8 and the halves' sums are added. The
-    recursion here follows the same split over k's flat indices down to
-    leaves of at most BLOCK_ENTRIES entries; each leaf builds the rows it
-    spans, exponentiates them in place and hands np.sum its flat slice,
-    which continues the same recursion (BLOCK_ENTRIES is above numpy's
-    128, so no range numpy sums in one piece is split). The trace gathers
-    k's diagonal into a vector for one np.sum, the order of np.trace's
-    strided sum.
+    recursion (_pairwise_sum) follows the same split over k's flat indices
+    down to leaves of at most BLOCK_ENTRIES entries; each leaf builds the
+    rows it spans, exponentiates them in place and hands np.sum its flat
+    slice, which continues the same recursion (BLOCK_ENTRIES is above
+    numpy's 128, so no range numpy sums in one piece is split). The trace
+    gathers k's diagonal into a vector for one np.sum, the order of
+    np.trace's strided sum. Nothing here refers to itself, so the blocks are
+    freed on return, not left for the cyclic garbage collector.
     """
     n = len(b)
     dists = _SqDists(a, b, -(-BLOCK_ENTRIES // n) + 1)
@@ -309,13 +388,16 @@ def _kernel_sums(a: np.ndarray, b: np.ndarray, inv: float) -> tuple[float, float
         diag[rows] = k[rows - r0, rows]
         return np.sum(k.ravel()[start - r0 * n:stop - r0 * n])
 
-    def tree(start: int, count: int) -> float:
-        if count <= BLOCK_ENTRIES:
-            return leaf(start, start + count)
-        half = count // 2 - (count // 2) % 8
-        return tree(start, half) + tree(start + half, count - half)
+    return float(_pairwise_sum(leaf, 0, len(a) * n)), float(np.sum(diag))
 
-    return float(tree(0, len(a) * n)), float(np.sum(diag))
+
+def _pairwise_sum(leaf, start: int, count: int) -> float:
+    """leaf(start, stop) summed over [start, start + count) in numpy's
+    pairwise order, with leaves of at most BLOCK_ENTRIES entries."""
+    if count <= BLOCK_ENTRIES:
+        return leaf(start, start + count)
+    half = count // 2 - (count // 2) % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, count - half)
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
@@ -331,15 +413,18 @@ def mmd2(x: np.ndarray, y: np.ndarray, bandwidth="median") -> float:
     drops matched pairs too), so identical sample sets score exactly zero;
     for unequal counts the standard unbiased estimator applies. Bandwidth is
     the median heuristic unless a fixed value is given: the median distance
-    over the distinct pairs of the pooled sample (_median_sq). NaN or Inf
-    samples raise SamplingError, as does a bandwidth that is not finite and
-    positive or whose -0.5 / bandwidth**2 is not finite.
+    over the distinct pairs of the pooled sample (_median_sq), found in one
+    sweep of the pairs unless its window misses. Samples that are not 2-D
+    with equal column counts, or that are NaN or Inf, raise SamplingError,
+    as does a bandwidth that is not finite and positive or whose
+    -0.5 / bandwidth**2 is not finite.
 
     No m x n matrix is built: the median and the kernel sums rebuild the
     distances in blocks of BLOCK_ENTRIES, so the tracemalloc peak is about
     4 MB at 2,000 per side and grows only linearly, O(m + n), with the
     sample counts (at most MEDIAN_CAP values, a few blocks of at least two
-    rows, and the per-row norms and diagonal). The sums add in numpy's own pairwise order, so the result
+    rows, and the per-row norms and diagonal), and all of it is freed when
+    mmd2 returns. The sums add in numpy's own pairwise order, so the result
     is the float the whole-matrix build (kernel.sum() - np.trace(kernel) per
     block) gives, as long as BLAS rounds a block's products like the whole
     matrix's; README "Reproducibility" has the one known exception.

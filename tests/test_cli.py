@@ -175,6 +175,16 @@ def test_eval_rejects_non_finite_input(run_root, capsys, recwarn, case):
     assert len(recwarn) == 0
 
 
+def test_eval_rejects_samples_of_another_width(run_root, capsys):
+    write_samples(run_root / "three.csv", np.zeros((8, 3)), np.zeros(8, dtype=np.int64), {})
+    assert main(["eval", "--samples", "three.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: samples must be 2-D") and "(8, 3) and (8, 2)" in err
+    assert "\n" not in err
+
+
 def test_param_count_formula(run_root, capsys):
     # single 4x6 layer at rank 2 -> 2 * (4 + 6) = 20
     adapter = LoraAdapter("fp", {

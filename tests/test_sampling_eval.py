@@ -1,3 +1,5 @@
+import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,12 +351,17 @@ def test_mmd2_and_bandwidth_equal_pooled_reference(m, n):
     assert mmd2(x, y, bandwidth=0.3) == _pooled_mmd2(x, y, 0.3)
 
 
-def test_mmd2_equals_pooled_reference_on_ring8_and_identical_sets():
+def test_mmd2_equals_pooled_reference_on_ring8_and_identical_sets(monkeypatch):
+    # both medians come from the one-sweep window, not the radix fallback
+    calls = _count_radix(monkeypatch)
     x = make_dataset("ring8", 2000, 1).x
     y = make_dataset("rotated", 2000, 2, base="ring8", angle_deg=22.5).x
-    assert mmd2(x, y) == _pooled_mmd2(x, y, _pooled_median_bandwidth(x, y))
+    bw = _pooled_median_bandwidth(x, y)
+    assert median_bandwidth(x, y) == bw
+    assert mmd2(x, y) == _pooled_mmd2(x, y, bw)
     z = substream(55, "same").normal((300, 2))
     assert mmd2(z, z.copy()) == _pooled_mmd2(z, z.copy(), _pooled_median_bandwidth(z, z))
+    assert calls == []
 
 
 def test_mmd2_self_is_exactly_zero_at_full_size():
@@ -427,6 +434,86 @@ def test_median_select_paths_equal_pooled_reference(monkeypatch, cap):
     x, y = cases["normal"]
     assert mmd2(x, y) == _pooled_mmd2(x, y, _pooled_median_bandwidth(x, y))
     assert median_bandwidth(*cases["straddle"]) == np.sqrt(2.5)
+
+
+def test_mmd2_frees_its_blocks_on_return():
+    # with the cyclic collector off, whatever mmd2 leaves in a reference
+    # cycle stays allocated; each distance block holds two 512 KB buffers
+    x = make_dataset("ring8", 2000, 1).x
+    y = make_dataset("rotated", 2000, 2, base="ring8", angle_deg=22.5).x
+    mmd2(x, y)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mmd2(x, y)
+        left = tracemalloc.get_traced_memory()[0] - before
+        unreachable = gc.collect()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
+    assert left < 64 * 1024
+
+
+def _count_radix(monkeypatch) -> list:
+    calls = []
+    radix = sampling_eval._radix_median_sq
+
+    def counted(*args):
+        calls.append(1)
+        return radix(*args)
+    monkeypatch.setattr(sampling_eval, "_radix_median_sq", counted)
+    return calls
+
+
+# 900 + 800 pooled rows make 1.44M pairs, more than MEDIAN_CAP, so the window
+# is a drawn range, not everything
+@pytest.mark.parametrize("path", ["window", "fallback"])
+@pytest.mark.parametrize("same", [False, True], ids=["x, y", "x is y"])
+def test_median_window_and_fallback_equal_pooled_reference(monkeypatch, path, same):
+    stream = substream(66, "window")
+    x = 1.3 * stream.normal((900, 2))
+    y = x if same else stream.normal((800, 2)) + 0.4
+    bw = _pooled_median_bandwidth(x, y.copy())
+    if path == "fallback":
+        # a zero-width window: the middle ranks are never inside it
+        monkeypatch.setattr(sampling_eval, "_median_window",
+                            lambda x, y, total: (1.0, 1.0, sampling_eval.MEDIAN_CAP))
+    calls = _count_radix(monkeypatch)
+    assert median_bandwidth(x, y) == bw
+    assert mmd2(x, y) == _pooled_mmd2(x, y, bw)
+    assert mmd2(x, x) == 0.0
+    assert len(calls) == (3 if path == "fallback" else 0)
+
+
+def test_median_ties_beyond_the_window_fall_back(monkeypatch):
+    # 640,000 x-y pairs share one value, far more than the window's room
+    x = np.tile([[0.3, -1.2]], (800, 1))
+    y = np.tile([[1.7, 0.4]], (800, 1))
+    calls = _count_radix(monkeypatch)
+    assert median_bandwidth(x, y) == _pooled_median_bandwidth(x, y)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.zeros((8, 3)), np.zeros((8, 2))),
+    (np.zeros(8), np.zeros(8)),
+    (np.zeros((8, 2)), np.zeros((2, 4, 2))),
+    (np.zeros((0, 2)), np.zeros((0, 2))),
+    (np.zeros((1, 2)), np.zeros((0, 2))),
+], ids=["columns", "1-D", "3-D", "empty", "no pair"])
+def test_metrics_reject_bad_sample_shapes(x, y):
+    shapes = f"{x.shape} and {y.shape}"
+    with pytest.raises(SamplingError, match=f"got shapes {re.escape(shapes)}"):
+        median_bandwidth(x, y)
+    with pytest.raises(SamplingError, match=re.escape(shapes)):
+        mmd2(x, y)
+    with pytest.raises(SamplingError, match=re.escape(shapes)):
+        mmd2(x, y, bandwidth=0.3)
 
 
 def test_one_row_block_rounds_like_a_row_of_a_bigger_block():

@@ -42,6 +42,7 @@ from cdlora import (
     substream,
     train_teacher,
 )
+from cdlora.sampling_eval import median_bandwidth
 from cdlora.training import MetricsLog
 
 SEED = 3
@@ -93,6 +94,7 @@ def main() -> None:
     ddim = ddim_sample(teacher, sched, 50, OMEGA, cond, SAMPLES, 7)
     reference = make_dataset("rotated", SAMPLES, SEED + 1, base="ring8", angle_deg=22.5)
     score = mmd2(lcm_adapter, reference.x)
+    bandwidth = median_bandwidth(lcm_adapter, reference.x)
 
     rows = [
         ("teacher loss", digest(teacher_log.losses())),
@@ -106,6 +108,7 @@ def main() -> None:
         ("LCM-4, merged", digest(lcm_merged)),
         ("DDIM-50", digest(ddim)),
         ("mmd2", digest(score)),
+        ("median_bandwidth", digest(bandwidth)),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
