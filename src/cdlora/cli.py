@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdlora.config import DEFAULTS, ConfigError, effective_json, load_config
+from cdlora.config import DEFAULTS, effective_json, load_config
 from cdlora.datasets import make_dataset
 from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet
 from cdlora.lora import attach, combine, count_trainable, merge
@@ -111,11 +111,6 @@ def cmd_train_teacher(args) -> int:
     sched_cfg = cfg["schedule"]
     sched = make_schedule(sched_cfg["N"], sched_cfg["beta_min"], sched_cfg["beta_max"])
     dataset = _build_dataset(cfg)
-    if dataset.num_conditions > cfg["net"]["num_conditions"]:
-        raise ConfigError(
-            f"dataset has {dataset.num_conditions} conditions, net allows "
-            f"{cfg['net']['num_conditions']}"
-        )
     net = _build_net(cfg)
     metrics = MetricsLog()
     out.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +70,45 @@ def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
         fh.write("\n")
 
 
+def _table_problems(table) -> list[str]:
+    """Bad entries of a manifest's tensor table, each named by its index.
+
+    An entry needs a string name, a shape of non-negative ints, the float64
+    dtype, an int offset, and the byte length its shape implies.
+    """
+    if not isinstance(table, list):
+        return [f"'tensors' is a JSON {type(table).__name__}, not a list"]
+    itemsize = np.dtype(_DTYPE).itemsize
+    problems = []
+    for i, entry in enumerate(table):
+        if not isinstance(entry, dict):
+            problems.append(f"entry {i} is a JSON {type(entry).__name__}, not an object")
+            continue
+        name, shape, length = entry.get("name"), entry.get("shape"), entry.get("byte_length")
+        shape_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+        ok = {
+            "name": isinstance(name, str),
+            "shape": shape_ok,
+            "dtype": entry.get("dtype") == _DTYPE,
+            "byte_offset": type(entry.get("byte_offset")) is int,
+            "byte_length": type(length) is int,
+        }
+        bad = [f"missing {key!r}" if key not in entry else f"bad {key!r} {entry[key]!r}"
+               for key, good in ok.items() if not good]
+        if shape_ok and ok["byte_length"] and length != itemsize * math.prod(shape):
+            bad.append(f"'byte_length' {length}, but shape {shape} takes "
+                       f"{itemsize * math.prod(shape)}")
+        if bad:
+            label = f"entry {i} {name!r}" if ok["name"] else f"entry {i}"
+            problems.append(f"{label}: {', '.join(bad)}")
+    return problems
+
+
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read a checkpoint directory back into (tensors, metadata).
 
-    Verifies the format version, that the offset table tiles the weight blob
-    exactly, and the SHA-256 of the blob.
+    Verifies the format version, every entry of the tensor table, that the
+    offset table tiles the weight blob exactly, and the SHA-256 of the blob.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -93,6 +128,9 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     for key in ("tensors", "weights_sha256", "metadata"):
         if key not in manifest:
             raise CorruptionError(f"{manifest_path} lacks the {key!r} key")
+    problems = _table_problems(manifest["tensors"])
+    if problems:
+        raise CorruptionError(f"{manifest_path} tensor table: {'; '.join(problems)}")
     with open(path / "weights.bin", "rb") as fh:
         blob = fh.read()
     digest = hashlib.sha256(blob).hexdigest()
@@ -115,7 +153,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     tensors = {}
     for entry in manifest["tensors"]:
         raw = blob[entry["byte_offset"]:entry["byte_offset"] + entry["byte_length"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+        arr = np.frombuffer(raw, dtype=_DTYPE).reshape(entry["shape"]).copy()
         tensors[entry["name"]] = arr
     return tensors, manifest["metadata"]
 
@@ -138,6 +176,8 @@ def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
 
 
 def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
+    """Load a denoiser checkpoint; its architecture record and every weight's
+    shape are checked against each other before the net is built."""
     tensors, meta = load_checkpoint(path)
     if meta.get("kind") != "denoiser":
         raise CheckpointError(f"{path} holds a {meta.get('kind')!r} checkpoint, wanted a denoiser")
@@ -150,9 +190,16 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
     if problems:
         raise CheckpointError(f"{path} architecture record: {', '.join(problems)}")
     net = DenoiserNet(**arch)
-    for name in net.params:
+    problems = []
+    for name, p in net.params.items():
         if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+            problems.append(f"missing tensor {name!r}")
+        elif tensors[name].shape != p.shape:
+            problems.append(f"tensor {name!r} has shape {tensors[name].shape}, "
+                            f"the architecture's is {p.shape}")
+    if problems:
+        raise CheckpointError(f"{path} weights: {', '.join(problems)}")
+    for name in net.params:
         net.params[name] = Tensor(tensors[name], requires_grad=True)
     sp = meta["schedule"]
     sched = make_schedule(sp["N"], sp["beta_min"], sp["beta_max"])

@@ -106,7 +106,6 @@ def ddim_sample(
     count: int,
     seed: int,
     adapter=None,
-    kind: str = "ddim",
 ) -> np.ndarray:
     """Many-step guided baseline: compose solver targets from noise down to t_1.
 
@@ -125,7 +124,7 @@ def ddim_sample(
         return net.forward(x, 0.0, cond_ids, t, adapter=adapter).data
 
     for hi, lo in zip(grid[:-1], grid[1:]):
-        z = cfg_target(z, int(hi), int(lo), cond_arr, net.null_id, omega, eps_fn, sched, kind=kind)
+        z = cfg_target(z, int(hi), int(lo), cond_arr, net.null_id, omega, eps_fn, sched)
     n_last = int(grid[-1])
     t_last = sched.t_of(n_last)
     if np.any(omega_arr > 0.0):

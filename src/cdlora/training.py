@@ -163,12 +163,8 @@ def ema_update(shadow: EmaShadow, params: list, mu: float) -> EmaShadow:
     for s, p in zip(shadow.params, params):
         if s.data.shape != p.data.shape:
             raise ValueError(f"shadow shape {s.data.shape} != param shape {p.data.shape}")
-        if mu == 1.0:
-            continue
-        if mu == 0.0:
-            s.data = p.data.copy()
-        else:
-            s.data = mu * s.data + (1.0 - mu) * p.data
+        # exact at both ends for finite factors: 1 * s + 0 * p and 0 * s + 1 * p
+        s.data = mu * s.data + (1.0 - mu) * p.data
     return shadow
 
 
@@ -278,8 +274,39 @@ def consistency_distance(f: Tensor, target: np.ndarray, kind: str, huber_c: floa
     raise ValueError(f"unknown distance {kind!r}")
 
 
+def _distill_target(teacher: DenoiserNet, head: ConsistencyHead, sched: NoiseSchedule,
+                    cfg: DistillConfig, z_hi, n, cond, omega, adapter) -> np.ndarray:
+    """Frozen target at t_n: the teacher's guided solver from t_{n+k} down to
+    t_n (no adapter on that path), then the consistency function through
+    `adapter`, all off the tape."""
+
+    def teacher_eps(x, t, cond_ids):
+        return teacher.forward(x, 0.0, cond_ids, t).data
+
+    z_hat = cfg_target(z_hi, n + cfg.k, n, cond, teacher.null_id, omega, teacher_eps, sched,
+                       kind=cfg.solver)
+    return consistency_forward(teacher, head, sched, z_hat, omega, cond, n, adapter=adapter).data
+
+
+def _distill_loss(teacher: DenoiserNet, head: ConsistencyHead, sched: NoiseSchedule,
+                  cfg: DistillConfig, z_hi, n, cond, omega, target, adapter) -> Tensor:
+    """Distance from the live adapter's consistency output at t_{n+k} to the target."""
+    f = consistency_forward(teacher, head, sched, z_hi, omega, cond, n + cfg.k, adapter=adapter)
+    return consistency_distance(f, target, cfg.distance, cfg.huber_c)
+
+
 # ---------------------------------------------------------------------------
 # training loops
+
+
+def _check_data(dataset: Dataset2D, net: DenoiserNet) -> None:
+    """A phase's data must be non-empty, and its condition ids must be ones
+    the net embeds as conditions (the id past them is the null condition)."""
+    if len(dataset.x) == 0:
+        raise ValueError("empty dataset")
+    if dataset.num_conditions > net.num_conditions:
+        raise ValueError(f"dataset has {dataset.num_conditions} conditions, "
+                         f"net allows {net.num_conditions}")
 
 
 def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str,
@@ -354,8 +381,7 @@ def train_teacher(dataset: Dataset2D, net: DenoiserNet, encoder: Encoder,
     p_uncond so the unconditional branch is trained for guidance.
     """
     opts.validate()
-    if len(dataset.x) == 0:
-        raise ValueError("empty dataset")
+    _check_data(dataset, net)
     if opts.steps == 0:
         return net
     net.set_trainable(True)
@@ -388,8 +414,7 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
     """
     cfg.validate(sched.N)
     check_fit(adapter, teacher)
-    if len(dataset.x) == 0:
-        raise ValueError("empty dataset")
+    _check_data(dataset, teacher)
     teacher.set_trainable(False)
     if head is None:
         head = ConsistencyHead.for_schedule(sched)
@@ -404,9 +429,6 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
     n_counts = np.zeros(sched.N + 1, dtype=np.int64)
     omega_seen = [np.inf, -np.inf]
 
-    def teacher_eps(x, t, cond_ids):
-        return teacher.forward(x, 0.0, cond_ids, t).data
-
     def draw():
         idx = s_batch.integers(batch, 0, len(z_data) - 1)
         cond = dataset.cond[idx]
@@ -420,17 +442,13 @@ def lcd_distill(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dataset2D,
         n_counts[:] += np.bincount(n, minlength=sched.N + 1)
         omega_seen[0] = min(omega_seen[0], float(omega.min()))
         omega_seen[1] = max(omega_seen[1], float(omega.max()))
-        z_hat = cfg_target(z_hi, n + cfg.k, n, cond, teacher.null_id, omega,
-                           teacher_eps, sched, kind=cfg.solver)
         # stop-gradient branch: evaluated off-tape through the EMA adapter
-        target = consistency_forward(teacher, head, sched, z_hat, omega, cond, n,
-                                     adapter=shadow.adapter).data
-        return z_hi, omega, cond, n + cfg.k, target
+        target = _distill_target(teacher, head, sched, cfg, z_hi, n, cond, omega,
+                                 shadow.adapter)
+        return z_hi, n, cond, omega, target
 
-    def loss_fn(b):
-        z_hi, omega, cond, n_hi, target = b
-        f = consistency_forward(teacher, head, sched, z_hi, omega, cond, n_hi, adapter=adapter)
-        return consistency_distance(f, target, cfg.distance, cfg.huber_c)
+    def loss_fn(batch):
+        return _distill_loss(teacher, head, sched, cfg, *batch, adapter)
 
     _train(cfg.steps, params, cfg.optimizer, cfg.eta, cfg.lr_schedule, draw, loss_fn,
            after_step=lambda: ema_update(shadow, params, cfg.mu), metrics=metrics,
@@ -450,8 +468,7 @@ def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dat
     """Diffusion-loss fine-tuning with only the adapter factors trainable."""
     opts.validate()
     check_fit(adapter, teacher)
-    if len(dataset.x) == 0:
-        raise ValueError("empty dataset")
+    _check_data(dataset, teacher)
     for entry in adapter.entries.values():
         if np.any(entry.b.data != 0.0):
             raise AdapterError("style fine-tuning expects a fresh adapter (B = 0)")
@@ -467,8 +484,9 @@ def distill_grad_check(seed: int, hidden: tuple, rank: int, batch: int, h: float
 
     On a 50-step schedule, the zero-init weights and every B factor get
     random values, so no gradient is trivially zero; then cond, n, z and
-    the noise are drawn in that order from the "gradcheck" stream. Returns
-    grad_check's worst relative error.
+    the noise are drawn in that order from the "gradcheck" stream. The
+    objective is lcd_distill's at DistillConfig's defaults, with the live
+    adapter on both branches. Returns grad_check's worst relative error.
     """
     sched = make_schedule(50)
     net = DenoiserNet(data_dim=2, hidden=hidden, num_conditions=8,
@@ -481,20 +499,14 @@ def distill_grad_check(seed: int, hidden: tuple, rank: int, batch: int, h: float
     for e in adapter.entries.values():
         e.b.data[:] = 0.05 * stream.normal(e.b.shape)
     head = ConsistencyHead.for_schedule(sched)
-    k = 5
+    cfg = DistillConfig()
     cond = stream.integers(batch, 0, 7)
-    n = stream.integers(batch, 1, sched.N - k)
-    omega = np.full(batch, 7.5)
-    z_hi = add_noise(stream.normal((batch, 2)), n + k, stream.normal((batch, 2)), sched)
-
-    def teacher_eps(x, t, c):
-        return net.forward(x, 0.0, c, t).data
-
-    z_hat = cfg_target(z_hi, n + k, n, cond, net.null_id, omega, teacher_eps, sched)
-    target = consistency_forward(net, head, sched, z_hat, omega, cond, n, adapter=adapter).data
+    n = stream.integers(batch, 1, sched.N - cfg.k)
+    omega = np.full(batch, cfg.omega_fixed)
+    z_hi = add_noise(stream.normal((batch, 2)), n + cfg.k, stream.normal((batch, 2)), sched)
+    target = _distill_target(net, head, sched, cfg, z_hi, n, cond, omega, adapter)
 
     def loss_fn():
-        f = consistency_forward(net, head, sched, z_hi, omega, cond, n + k, adapter=adapter)
-        return consistency_distance(f, target, "l2", 0.01)
+        return _distill_loss(net, head, sched, cfg, z_hi, n, cond, omega, target, adapter)
 
     return grad_check(loss_fn, adapter.trainable_params(), h=h)

@@ -316,10 +316,17 @@ def _drop_omega_ref(manifest):
     return manifest
 
 
+def _transpose_layer0(manifest):
+    # the byte length still fits, so only the architecture shows the fault
+    next(e for e in manifest["tensors"] if e["name"] == "layer0.weight")["shape"].reverse()
+    return manifest
+
+
 @pytest.mark.parametrize("corrupt,named", [(lambda m: [m], "list"),
                                            (_drop_weights_hash, "weights_sha256"),
-                                           (_drop_omega_ref, "omega_ref")],
-                         ids=["list", "no-hash", "no-omega_ref"])
+                                           (_drop_omega_ref, "omega_ref"),
+                                           (_transpose_layer0, "'layer0.weight' has shape")],
+                         ids=["list", "no-hash", "no-omega_ref", "transposed-weight"])
 def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):
     net = DenoiserNet(hidden=(8,), num_conditions=2)
     save_net(run_root / "net.ckpt", net, make_schedule(10),
@@ -352,6 +359,26 @@ def test_sample_rejects_adapter_manifest_without_targets(run_root, capsys):
     err = captured.err.strip()
     assert err.startswith("error:") and "a.ckpt" in err and "'targets'" in err and "\n" not in err
     assert not (run_root / "bad.csv").exists()
+
+
+def test_more_conditions_than_the_net_fail_every_training_command(run_root, capsys):
+    # a 7-condition teacher trained on the one-condition checkerboard; ring8's
+    # condition 7 is that net's null id
+    seven = {**MINI_CONFIG, "net": {"hidden": [8], "num_conditions": 7},
+             "teacher": {"steps": 2, "batch": 8}, "distill": {"steps": 2, "batch_size": 8},
+             "style": {"steps": 2, "batch": 8}}
+    (run_root / "board.json").write_text(json.dumps(
+        {**seven, "dataset": {"kind": "checkerboard", "count": 64}}))
+    (run_root / "ring.json").write_text(json.dumps(seven))
+    assert main(["train-teacher", "--config", str(run_root / "board.json"), "--out", "t"]) == 0
+    teacher = str(run_root / "t" / "teacher.ckpt")
+    for cmd in (["train-teacher"], ["distill-lcm", "--teacher", teacher],
+                ["finetune-style", "--teacher", teacher]):
+        capsys.readouterr()
+        assert main([*cmd, "--config", str(run_root / "ring.json"), "--out", "r"]) == 1, cmd
+        err = capsys.readouterr().err.strip()
+        assert err == "error: dataset has 8 conditions, net allows 7", cmd
+        assert not list(run_root.glob("r/*")), cmd
 
 
 def test_unknown_config_key_exits_one(run_root, capsys):

@@ -109,22 +109,26 @@ def test_sinusoidal_features_equal_direct_formula():
         assert np.array_equal(sinusoidal_features(x, 16), direct), name
 
 
-def _busy_net(seed, adapted):
+def _busy_net(seed, scale=None):
+    """A net with a random last layer, and with a rank-8 adapter at `scale`
+    unless scale is None."""
     net = DenoiserNet(stream=substream(seed, "init/net"))
     last = net.params["layer3.weight"]
     last.data[:] = substream(seed, "test/last").normal(last.shape)
-    if not adapted:
+    if scale is None:
         return net, None
-    adapter = attach(net, rank=8, stream=substream(seed, "init/lora"), cap_rank=True)
+    adapter = attach(net, rank=8, scale=scale, stream=substream(seed, "init/lora"),
+                     cap_rank=True)
     for e in adapter.entries.values():
         e.b.data[:] = 0.1 * substream(seed, "test/b").normal(e.b.shape)
     return net, adapter
 
 
-@pytest.mark.parametrize("adapted", [False, True], ids=["base", "rank8"])
+# scale 0.5 runs the blocked path's own scaling of the adapter's delta
+@pytest.mark.parametrize("scale", [None, 1.0, 0.5], ids=["base", "rank8", "rank8-scale0.5"])
 @pytest.mark.parametrize("m", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 600, 4000])
-def test_blocked_forward_equals_whole_batch_on_tape(m, adapted):
-    net, adapter = _busy_net(41, adapted)
+def test_blocked_forward_equals_whole_batch_on_tape(m, scale):
+    net, adapter = _busy_net(41, scale)
     stream = substream(42, "test/blocked")
     z = stream.normal((m, 2))
     per_row = (14.0 * stream.uniform(m), stream.integers(m, 0, net.null_id), stream.uniform(m))
@@ -139,7 +143,7 @@ def test_blocked_forward_equals_whole_batch_on_tape(m, adapted):
 def test_only_off_tape_forwards_are_blocked(monkeypatch):
     # the blocked path applies SiLU in place through silu_den; the taped
     # path calls the silu primitive, whose own silu_den is tensor's
-    net, _ = _busy_net(43, False)
+    net, _ = _busy_net(43)
     calls = []
 
     def silu_rows(h):
@@ -167,7 +171,7 @@ def test_only_off_tape_forwards_are_blocked(monkeypatch):
                                        ("t", -np.inf), ("omega", np.nan), ("omega", np.inf)])
 def test_non_finite_inputs_raise_on_both_paths(m, where, bad):
     # the inputs are scanned once at whole-batch size; the blocks are wrapped unscanned
-    net, _ = _busy_net(44, False)
+    net, _ = _busy_net(44)
     stream = substream(45, "test/non-finite")
     inputs = {"z": stream.normal((m, 2)), "t": stream.uniform(m), "omega": 7.5 * stream.uniform(m)}
     inputs[where][m - 2] = bad
@@ -181,7 +185,7 @@ def test_non_finite_inputs_raise_on_both_paths(m, where, bad):
 
 
 def test_non_finite_hidden_value_raises_on_blocked_path():
-    net, _ = _busy_net(46, False)
+    net, _ = _busy_net(46)
     net.params["layer1.weight"].data[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
         net.forward(substream(47, "test/z").normal((600, 2)), 7.5, 0, 0.5)

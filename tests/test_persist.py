@@ -157,6 +157,76 @@ def test_net_arch_record_names_missing_and_unknown_fields(tmp_path):
         assert name in str(err.value)
 
 
+def _layer0(table):
+    return next(entry for entry in table if entry["name"] == "layer0.weight")
+
+
+def _drop_offset(table):
+    del _layer0(table)["byte_offset"]
+
+
+def _table_as_object(table):
+    return {entry["name"]: entry for entry in table}
+
+
+def _seven_by_seven(table):
+    _layer0(table)["shape"] = [7, 7]
+
+
+def _transposed(table):
+    _layer0(table)["shape"].reverse()
+
+
+def _as_float32(table):
+    # the same bytes, declared as twice as many float32 columns
+    entry = _layer0(table)
+    entry["dtype"] = "<f4"
+    entry["shape"][1] *= 2
+
+
+# layer0.weight of the hidden-(8,) net below is (34, 8): 2,176 bytes of float64
+@pytest.mark.parametrize("edit,named", [
+    (_drop_offset, "'layer0.weight': missing 'byte_offset'"),
+    (_table_as_object, "'tensors' is a JSON dict, not a list"),
+    (_seven_by_seven, "'layer0.weight': 'byte_length' 2176, but shape [7, 7] takes 392"),
+    (_transposed, "'layer0.weight' has shape (8, 34), the architecture's is (34, 8)"),
+    (_as_float32, "'layer0.weight': bad 'dtype' '<f4'"),
+], ids=["no-offset", "object", "wrong-size", "transposed", "float32"])
+def test_net_tensor_record_checked(tmp_path, edit, named):
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2, stream=substream(6, "init"))
+    save_net(tmp_path / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
+
+    def edit_table(m):
+        m["tensors"] = edit(m["tensors"]) or m["tensors"]
+        return m
+
+    _rewrite_manifest(tmp_path / "net.ckpt", edit_table)
+    with pytest.raises(CheckpointError) as err:
+        load_net(tmp_path / "net.ckpt")
+    msg = str(err.value)
+    assert str(tmp_path / "net.ckpt") in msg and named in msg and "\n" not in msg
+
+
+def test_tensor_table_names_every_bad_entry(tmp_path):
+    save_checkpoint(tmp_path / "c.ckpt", random_tensors(), {})
+
+    def edit(m):
+        m["tensors"][0]["shape"] = [8, -4]
+        del m["tensors"][1]["name"]
+        m["tensors"][2]["byte_offset"] = "48"
+        return m
+
+    _rewrite_manifest(tmp_path / "c.ckpt", edit)
+    with pytest.raises(CorruptionError) as err:
+        load_checkpoint(tmp_path / "c.ckpt")
+    msg = str(err.value)
+    for part in ("entry 0 'layer0.weight': bad 'shape' [8, -4]", "entry 1: missing 'name'",
+                 "entry 2 'cond_table': bad 'byte_offset' '48'"):
+        assert part in msg
+    assert "\n" not in msg
+
+
 def test_adapter_round_trip_and_pairing(tmp_path):
     net = DenoiserNet(data_dim=2, hidden=(16, 16), num_conditions=8,
                       stream=substream(2, "init"))

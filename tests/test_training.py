@@ -147,6 +147,33 @@ def test_empty_dataset_rejected():
 
 
 @pytest.mark.parametrize("phase", ["teacher", "style", "distill"])
+def test_more_conditions_than_the_net_rejected_before_any_step(phase):
+    # condition 7 of ring8 is the null id of a 7-condition net; trained, it
+    # would silently train the unconditional branch
+    sched = make_schedule(50)
+    net = DenoiserNet(data_dim=2, hidden=(16, 16), num_conditions=7,
+                      stream=substream(16, "init/net"))
+    before = {k: v.data.copy() for k, v in net.params.items()}
+    ds = ring8(256, 3)
+    metrics = MetricsLog()
+    with pytest.raises(ValueError, match="^dataset has 8 conditions, net allows 7$"):
+        if phase == "teacher":
+            train_teacher(ds, net, Encoder.identity(), sched, TrainOpts(steps=2, batch=8),
+                          metrics=metrics)
+        else:
+            adapter = attach(net, rank=2, stream=substream(17, "lora"), cap_rank=True)
+            if phase == "style":
+                finetune_style_lora(net, adapter, ds, Encoder.identity(), sched,
+                                    TrainOpts(steps=2, batch=8), metrics=metrics)
+            else:
+                lcd_distill(net, adapter, ds, Encoder.identity(), sched,
+                            DistillConfig(steps=2, batch_size=8), metrics=metrics)
+    assert metrics.rows == []
+    for k, v in net.params.items():
+        assert np.array_equal(v.data, before[k])
+
+
+@pytest.mark.parametrize("phase", ["teacher", "style", "distill"])
 def test_divergence_reports_step(phase):
     sched = make_schedule(50)
     net = fresh_net(seed=14)

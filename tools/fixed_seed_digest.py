@@ -9,7 +9,8 @@ bits; a row that differs names where they part.
 
 Settings: ring8 with 1,024 points, seed 3, N = 50, beta_max 0.25, hidden
 (32, 32), rank 2; 300 teacher, 200 distillation and 200 style steps;
-1,000 samples per sampler. It takes about 4 s on one core.
+1,000 samples per sampler. A last row hashes the distillation grad check at
+the seeds in GRAD_CHECK_SEEDS. It takes about 3 s on one core.
 
 Run from the repository root, against the tree under test:
 
@@ -43,12 +44,16 @@ from cdlora import (
     train_teacher,
 )
 from cdlora.sampling_eval import median_bandwidth
-from cdlora.training import MetricsLog
+from cdlora.training import MetricsLog, distill_grad_check
 
 SEED = 3
 COUNT = 1_024
 SAMPLES = 1_000
 OMEGA = 7.5
+# the three seeds of 0-199 with the largest distillation grad-check errors,
+# each checked as the benchmark checks it: hidden (16, 16), rank 2, batch 4,
+# h = 1e-5
+GRAD_CHECK_SEEDS = (7, 98, 141)
 
 
 def digest(*arrays) -> str:
@@ -95,6 +100,7 @@ def main() -> None:
     reference = make_dataset("rotated", SAMPLES, SEED + 1, base="ring8", angle_deg=22.5)
     score = mmd2(lcm_adapter, reference.x)
     bandwidth = median_bandwidth(lcm_adapter, reference.x)
+    grad_errors = [distill_grad_check(s, (16, 16), 2, 4, 1e-5) for s in GRAD_CHECK_SEEDS]
 
     rows = [
         ("teacher loss", digest(teacher_log.losses())),
@@ -109,11 +115,13 @@ def main() -> None:
         ("DDIM-50", digest(ddim)),
         ("mmd2", digest(score)),
         ("median_bandwidth", digest(bandwidth)),
+        ("distill grad check", digest(grad_errors)),
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
     print(f"{'mmd2 value':<{width}}  {score!r}")
+    print(f"{'grad check values':<{width}}  {' '.join(f'{e:.4g}' for e in grad_errors)}")
 
 
 if __name__ == "__main__":
