@@ -113,7 +113,6 @@ def cmd_train_teacher(args) -> int:
     dataset = _build_dataset(cfg)
     net = _build_net(cfg)
     metrics = MetricsLog()
-    out.mkdir(parents=True, exist_ok=True)
     every = cfg["teacher"]["checkpoint_every"]
 
     def checkpoint_cb(step):
@@ -139,7 +138,6 @@ def cmd_distill_lcm(args) -> int:
     dcfg = _section_opts(DistillConfig, cfg, "distill")
     head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", cfg["net"]["sigma_data"]))
     metrics = MetricsLog()
-    out.mkdir(parents=True, exist_ok=True)
     every = cfg["distill"]["checkpoint_every"]
 
     def checkpoint_cb(step):
@@ -163,7 +161,6 @@ def cmd_finetune_style(args) -> int:
     metrics = MetricsLog()
     bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched,
                                  _section_opts(TrainOpts, cfg, "style"), metrics=metrics)
-    out.mkdir(parents=True, exist_ok=True)
     save_adapter(out / "style.ckpt", bundle, {"config": cfg})
     _write_run_files(out, cfg, metrics)
     return 0

@@ -6,6 +6,16 @@ denoiser needs (bias rows, per-row scaling, embedding lookup, column concat),
 and a Wengert-list tape replayed in exact reverse execution order. No GPU, no
 general broadcasting, no views.
 
+Each recorded primitive appends one node, (sources, bwd), and nothing else.
+A source says where the gradient of one input goes: the index of the node
+that produced it on this tape, the leaf Tensor itself when it needs a
+gradient, or None. bwd closes over only the arrays its own formula reads,
+and only for inputs that need a gradient, so an intermediate that backward
+never reads is freed as soon as the forward drops it. A recorded output
+carries a mark, (tape serial, node index), that later nodes resolve to its
+source. The mark names the tape by serial, not by reference, so a live output
+keeps no tape alive and closes no cycle that only the cyclic GC would free.
+
 SiLU takes one exp per element, x / (1 + exp(-x)), and its backward reuses
 that denominator. `silu_den` computes it into a caller's buffer, so the
 denoiser's buffer-reusing off-tape forward applies the same arithmetic in
@@ -14,6 +24,7 @@ place.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +48,8 @@ class Tensor:
     Tensors are immutable after construction except for gradient accumulation
     and whole-array parameter updates between training steps.
     """
+
+    _mark: Optional[tuple] = None   # (tape serial, node index) once recorded
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -65,6 +78,7 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 
 _active_tape: Optional["GradTape"] = None
+_tape_serials = itertools.count()
 
 
 class GradTape:
@@ -76,8 +90,8 @@ class GradTape:
     """
 
     def __init__(self):
+        self._serial = next(_tape_serials)
         self._nodes: list = []
-        self._produced: set = set()
         self._leaves: dict = {}
         self._consumed = False
 
@@ -93,6 +107,17 @@ class GradTape:
         _active_tape = None
         return False
 
+    def _source(self, x):
+        """Where x's gradient goes: the index of x's node on this tape, x
+        itself as a leaf (registered here), or None if x needs none."""
+        if not isinstance(x, Tensor) or not x.requires_grad:
+            return None
+        mark = x._mark
+        if mark is not None and mark[0] == self._serial:
+            return mark[1]
+        self._leaves[id(x)] = x
+        return x
+
     def backward(self, loss: Tensor) -> None:
         """Populate .grad on every requires_grad leaf reachable from loss.
 
@@ -105,19 +130,23 @@ class GradTape:
             raise ShapeError(f"backward needs a scalar loss, got {got}")
         if self._consumed:
             raise TapeError("backward on a consumed tape")
-        grads = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, bwd in reversed(self._nodes):
-            g = grads.pop(id(out), None)
+        grads = {}   # node index -> gradient of that node's output
+        mark = loss._mark
+        if mark is not None and mark[0] == self._serial:
+            grads[mark[1]] = np.ones_like(loss.data)
+        for i in range(len(self._nodes) - 1, -1, -1):
+            g = grads.pop(i, None)
             if g is None:
                 continue
-            for x, gx in zip(inputs, bwd(g)):
-                if gx is None or not isinstance(x, Tensor) or not x.requires_grad:
+            sources, bwd = self._nodes[i]
+            for src, gx in zip(sources, bwd(g)):
+                if gx is None or src is None:
                     continue
-                if id(x) in self._produced:
-                    acc = grads.get(id(x))
-                    grads[id(x)] = gx if acc is None else acc + gx
+                if isinstance(src, int):
+                    acc = grads.get(src)
+                    grads[src] = gx if acc is None else acc + gx
                 else:
-                    x.grad = gx.copy() if x.grad is None else x.grad + gx
+                    src.grad = gx.copy() if src.grad is None else src.grad + gx
         for leaf in self._leaves.values():
             if leaf.grad is None:
                 leaf.grad = np.zeros_like(leaf.data)
@@ -134,23 +163,21 @@ def _record(arr: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
     tape = _active_tape
     if tape is None:
         return out
-    if not any(isinstance(x, Tensor) and x.requires_grad for x in inputs):
+    sources = tuple(tape._source(x) for x in inputs)
+    if all(src is None for src in sources):
         return out
     out.requires_grad = True
-    tape._nodes.append((out, inputs, bwd))
-    tape._produced.add(id(out))
-    for x in inputs:
-        if isinstance(x, Tensor) and x.requires_grad and id(x) not in tape._produced:
-            tape._leaves[id(x)] = x
+    out._mark = (tape._serial, len(tape._nodes))
+    tape._nodes.append((sources, bwd))
     return out
 
 
 def stopgrad(a: Tensor) -> Tensor:
     """Detached view: contributes exactly zero to all upstream gradients."""
-    tape = _active_tape
-    if tape is not None and a.requires_grad and id(a) not in tape._produced:
-        # register as a leaf so backward reports an explicit zero gradient
-        tape._leaves[id(a)] = a
+    if _active_tape is not None:
+        # registers a as a leaf unless this tape made it, so backward
+        # reports an explicit zero gradient
+        _active_tape._source(a)
     return _wrap(a.data)
 
 
@@ -162,17 +189,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product; backward is dL/da = g @ b^T, dL/db = a^T @ g.
 
     The backward skips the product of an operand that needs no gradient,
-    such as a frozen base weight or a constant feature matrix.
+    such as a frozen base weight or a constant feature matrix, and keeps
+    each operand's values only for the other operand's gradient.
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible")
-    ad, bd = a.data, b.data
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return (None if bd is None else g @ bd.T,
+                None if ad is None else ad.T @ g)
 
-    return _record(ad @ bd, (a, b), bwd)
+    return _record(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -209,30 +238,36 @@ def _val(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _reduce_to(g: np.ndarray, x) -> Optional[np.ndarray]:
+def _grad_shape(x) -> Optional[tuple]:
+    """x's shape if x is a Tensor that needs a gradient, else None."""
+    return x.data.shape if isinstance(x, Tensor) and x.requires_grad else None
+
+
+def _reduce_to(g: np.ndarray, shape: Optional[tuple]) -> Optional[np.ndarray]:
     # gradient for a scalar operand collapses to its (possibly 0-d) shape
-    if not isinstance(x, Tensor):
+    if shape is None:
         return None
-    if x.data.shape == g.shape:
+    if shape == g.shape:
         return g
-    return np.sum(g).reshape(x.data.shape)
+    return np.sum(g).reshape(shape)
 
 
 def add(a, b) -> Tensor:
     _binary_shapes(a, b, "add")
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def bwd(g):
-        return _reduce_to(g, a), _reduce_to(g, b)
+        return _reduce_to(g, sa), _reduce_to(g, sb)
 
     return _record(_val(a) + _val(b), (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     _binary_shapes(a, b, "sub")
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def bwd(g):
-        gb = _reduce_to(-g, b)
-        return _reduce_to(g, a), gb
+        return _reduce_to(g, sa), None if sb is None else _reduce_to(-g, sb)
 
     return _record(_val(a) - _val(b), (a, b), bwd)
 
@@ -240,9 +275,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     _binary_shapes(a, b, "mul")
     av, bv = _val(a), _val(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    # each operand's values, kept only for the other operand's gradient
+    ka = None if sa is None else bv
+    kb = None if sb is None else av
 
     def bwd(g):
-        return _reduce_to(g * bv, a), _reduce_to(g * av, b)
+        return (None if ka is None else _reduce_to(g * ka, sa),
+                None if kb is None else _reduce_to(g * kb, sb))
 
     return _record(av * bv, (a, b), bwd)
 
@@ -349,8 +389,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias shapes {x.shape} and {b.shape} are incompatible")
 
+    bias_grad = b.requires_grad   # a frozen bias skips the row sum
+
     def bwd(g):
-        return g, np.sum(g, axis=0)
+        return g, np.sum(g, axis=0) if bias_grad else None
 
     return _record(x.data + b.data[None, :], (x, b), bwd)
 
@@ -361,10 +403,12 @@ def scale_rows(x: Tensor, s) -> Tensor:
     if x.data.ndim != 2 or sv.ndim != 1 or sv.shape[0] != x.shape[0]:
         raise ShapeError(f"scale_rows shapes {x.shape} and {sv.shape} are incompatible")
     xv = x.data
+    kx = xv if isinstance(s, Tensor) and s.requires_grad else None
+    ks = sv if x.requires_grad else None
 
     def bwd(g):
-        gs = np.sum(g * xv, axis=1) if isinstance(s, Tensor) else None
-        return g * sv[:, None], gs
+        return (None if ks is None else g * ks[:, None],
+                None if kx is None else np.sum(g * kx, axis=1))
 
     return _record(xv * sv[:, None], (x, s), bwd)
 
@@ -378,8 +422,10 @@ def embed_rows(table: Tensor, ids) -> Tensor:
     if np.any(idx < 0) or np.any(idx >= rows):
         raise IndexError(f"embedding id out of range [0, {rows})")
 
+    shape = table.data.shape
+
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         np.add.at(gt, idx, g)
         return (gt,)
 
@@ -398,7 +444,7 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     edges = np.cumsum([0] + widths)
 
     def bwd(g):
-        return tuple(g[:, edges[i]:edges[i + 1]] for i in range(len(parts)))
+        return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
 
     return _record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
 

@@ -74,7 +74,6 @@ class TrainOpts:
     p_uncond: float = 0.1
     seed: int = 0
     optimizer: str = "adam"
-    # annealed: guidance multiplies the last iterate's weight noise by 1 + omega
     lr_schedule: str = "cosine"
 
     def validate(self):

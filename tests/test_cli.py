@@ -378,7 +378,14 @@ def test_more_conditions_than_the_net_fail_every_training_command(run_root, caps
         assert main([*cmd, "--config", str(run_root / "ring.json"), "--out", "r"]) == 1, cmd
         err = capsys.readouterr().err.strip()
         assert err == "error: dataset has 8 conditions, net allows 7", cmd
-        assert not list(run_root.glob("r/*")), cmd
+        assert not (run_root / "r").exists(), cmd
+    (run_root / "k60.json").write_text(json.dumps(
+        {**seven, "dataset": {"kind": "checkerboard", "count": 64}, "distill": {"k": 60}}))
+    capsys.readouterr()
+    assert main(["distill-lcm", "--teacher", teacher, "--config", str(run_root / "k60.json"),
+                 "--out", "r"]) == 1
+    assert capsys.readouterr().err.strip() == "error: skipping interval k=60 outside [1, 49]"
+    assert not (run_root / "r").exists()
 
 
 def test_unknown_config_key_exits_one(run_root, capsys):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,29 @@ def test_only_off_tape_forwards_are_blocked(monkeypatch):
     with GradTape():
         net.forward(z, 7.5, 0, 0.5)
     assert calls == [("silu", 600)] * 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["rank8", "rank8-scale0.5"])
+def test_taped_forward_frees_what_backward_never_reads(monkeypatch, scale):
+    # each adapted layer adds the base product x W and the adapter delta,
+    # then the bias; backward reads none of the three, so none may outlive
+    # the forward on a frozen base
+    net, adapter = _busy_net(44, scale)
+    add = cdlora.denoiser.add
+    dropped = []
+
+    def add_rows(y, delta):
+        out = add(y, delta)
+        dropped.extend(weakref.ref(t.data) for t in (y, delta, out))
+        return out
+
+    monkeypatch.setattr(cdlora.denoiser, "add", add_rows)
+    with GradTape() as tape:
+        loss = sum_all(net.forward(substream(45, "z").normal((3, 2)), 7.5, 3, 0.4, adapter=adapter))
+        assert len(dropped) == 3 * len(adapter.entries)
+        assert [ref() for ref in dropped] == [None] * len(dropped)
+        tape.backward(loss)
+    assert all(np.any(e.b.grad != 0.0) for e in adapter.entries.values())
 
 
 @pytest.mark.parametrize("m", [3, 600], ids=["whole", "blocked"])

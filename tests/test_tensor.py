@@ -53,23 +53,39 @@ def test_matmul_gradient_vs_finite_differences():
     assert rel < 1e-6
 
 
-@pytest.mark.parametrize("frozen", ["a", "b"])
-def test_matmul_backward_skips_frozen_operand(frozen):
-    stream = substream(8, "test/matmul-frozen")
-    a = Tensor(stream.normal((5, 3)), requires_grad=frozen != "a")
-    b = Tensor(stream.normal((3, 4)), requires_grad=frozen != "b")
+@pytest.mark.parametrize("prim, frozen", [("matmul", "a"), ("matmul", "b"), ("add_bias", "b")],
+                         ids=["matmul-a", "matmul-b", "add_bias-b"])
+def test_backward_skips_frozen_operand(prim, frozen):
+    stream = substream(8, f"test/{prim}-frozen")
+    a_shape, b_shape = ((5, 3), (3, 4)) if prim == "matmul" else ((5, 4), (4,))
+    a = Tensor(stream.normal(a_shape), requires_grad=frozen != "a")
+    b = Tensor(stream.normal(b_shape), requires_grad=frozen != "b")
     g = stream.normal((5, 4))
     with GradTape() as tape:
-        out = matmul(a, b)
+        out = (matmul if prim == "matmul" else add_bias)(a, b)
         tape.backward(sum_all(mul(out, Tensor(g))))
-        (_, _, bwd), = [node for node in tape._nodes if node[0] is out]
+    serial, index = out._mark
+    assert serial == tape._serial
+    _, bwd = tape._nodes[index]
     ga, gb = bwd(g)
+    want_a, want_b = (g @ b.data.T, a.data.T @ g) if prim == "matmul" else (g, np.sum(g, axis=0))
     if frozen == "a":
         assert ga is None and a.grad is None
-        assert np.array_equal(b.grad, a.data.T @ g) and np.array_equal(gb, a.data.T @ g)
+        assert np.array_equal(b.grad, want_b) and np.array_equal(gb, want_b)
     else:
         assert gb is None and b.grad is None
-        assert np.array_equal(a.grad, g @ b.data.T) and np.array_equal(ga, g @ b.data.T)
+        assert np.array_equal(a.grad, want_a) and np.array_equal(ga, want_a)
+
+
+def test_output_of_an_earlier_tape_is_a_leaf_on_the_next():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with GradTape():
+        y = square(x)   # node 0 of a tape that never runs backward
+    with GradTape() as tape:
+        # node 0 of this tape is the mul; y's gradient must not land there
+        tape.backward(sum_all(mul(y, 3.0)))
+    assert np.array_equal(y.grad, [3.0, 3.0])
+    assert x.grad is None
 
 
 def test_add_example():
