@@ -19,7 +19,7 @@ import numpy as np
 
 from cdlora.config import DEFAULTS, effective_json, load_config
 from cdlora.datasets import make_dataset
-from cdlora.denoiser import SIGMA_DATA, ConsistencyHead, DenoiserNet
+from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.lora import attach, combine, count_trainable, merge
 from cdlora.persist import load_adapter, load_net, save_adapter, save_net
 from cdlora.rng import substream
@@ -47,13 +47,9 @@ from cdlora.training import (
 RUN_ROOT_ENV = "CDLORA_RUN_ROOT"
 
 
-def _root() -> Path:
-    return Path(os.environ.get(RUN_ROOT_ENV, "."))
-
-
 def _resolve(path: str) -> Path:
     p = Path(path)
-    return p if p.is_absolute() else _root() / p
+    return p if p.is_absolute() else Path(os.environ.get(RUN_ROOT_ENV, ".")) / p
 
 
 def _echo(payload: dict) -> None:
@@ -108,22 +104,20 @@ def cmd_train_teacher(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     print(effective_json(cfg))
     out = _resolve(args.out)
-    sched_cfg = cfg["schedule"]
-    sched = make_schedule(sched_cfg["N"], sched_cfg["beta_min"], sched_cfg["beta_max"])
+    sched = make_schedule(**cfg["schedule"])
     dataset = _build_dataset(cfg)
     net = _build_net(cfg)
     metrics = MetricsLog()
     every = cfg["teacher"]["checkpoint_every"]
+    record = {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]}
 
     def checkpoint_cb(step):
-        save_net(out / f"teacher_step{step}.ckpt", net, sched, sched_cfg,
-                 {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]})
+        save_net(out / f"teacher_step{step}.ckpt", net, sched, cfg["schedule"], record)
 
     train_teacher(dataset, net, Encoder.identity(), sched,
                   _section_opts(TrainOpts, cfg, "teacher"), metrics=metrics,
                   checkpoint_cb=checkpoint_cb, checkpoint_every=every)
-    save_net(out / "teacher.ckpt", net, sched, sched_cfg,
-             {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]})
+    save_net(out / "teacher.ckpt", net, sched, cfg["schedule"], record)
     _write_run_files(out, cfg, metrics)
     return 0
 
@@ -136,7 +130,7 @@ def cmd_distill_lcm(args) -> int:
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
     dcfg = _section_opts(DistillConfig, cfg, "distill")
-    head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", cfg["net"]["sigma_data"]))
+    head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])
     metrics = MetricsLog()
     every = cfg["distill"]["checkpoint_every"]
 
@@ -186,7 +180,7 @@ def cmd_merge_lora(args) -> int:
     merged = merge(base, bundle.adapter)
     out = _resolve(args.out)
     save_net(out, merged, sched, meta["schedule"],
-             {"sigma_data": meta.get("sigma_data", SIGMA_DATA),
+             {"sigma_data": meta["sigma_data"],
               "merged_from": {"base": str(args.base), "adapter": str(args.adapter),
                               "role": bundle.role, "provenance": bundle.provenance}})
     _echo({"command": "merge-lora", "out": str(out), "role": bundle.role})
@@ -201,7 +195,7 @@ def cmd_sample(args) -> int:
     net, sched, meta = load_net(ckpt)
     bundle = load_adapter(_resolve(args.adapter), base_net=net) if args.adapter else None
     adapter = bundle.adapter if bundle else None
-    head = ConsistencyHead.for_schedule(sched, meta.get("sigma_data", SIGMA_DATA))
+    head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])
     if args.cond == "balanced":
         cond = np.arange(count, dtype=np.int64) % net.num_conditions
     else:

@@ -70,11 +70,11 @@ class LoraAdapter:
 
 
 def check_fit(adapter: LoraAdapter, net: DenoiserNet, source: str = "adapter") -> None:
-    """Raise AdapterError unless the adapter belongs to net's architecture.
-
-    The recorded base must equal net's fingerprint, and every entry's
-    factors must fit the layer it names; source names the adapter in the
-    second message.
+    """Raise AdapterError unless the adapter belongs to net's architecture: its
+    recorded base must equal net's fingerprint, and every entry's factors must
+    fit the layer it names (source names the adapter in that message). The
+    fingerprint must never hash weights: an acceleration adapter plugs into
+    any base of the same shape, a fully fine-tuned one included.
     """
     fp = net_fingerprint(net)
     if adapter.base != fp:

@@ -4,7 +4,9 @@ A checkpoint is a directory holding manifest.json (format version, ordered
 tensor table with byte offsets, metadata, SHA-256 of the weight blob) and
 weights.bin (the tensors' float64 scalars, row-major, concatenated in
 manifest order). Loads verify the hash and the offset table before touching
-any tensor, and round-trip bit-identically.
+any tensor, and round-trip bit-identically. The manifest, the denoiser and
+adapter records and the tensors each record implies are declarative specs,
+checked by one walker, `_problems`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdlora.denoiser import DenoiserNet, net_fingerprint
+from cdlora.denoiser import SIGMA_DATA, DenoiserNet
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, check_fit
 from cdlora.schedule import NoiseSchedule, make_schedule
 from cdlora.tensor import Tensor
@@ -70,45 +72,103 @@ def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
         fh.write("\n")
 
 
-def _table_problems(table) -> list[str]:
-    """Bad entries of a manifest's tensor table, each named by its index.
-
-    An entry needs a string name, a shape of non-negative ints, the float64
-    dtype, an int offset, and the byte length its shape implies.
+def _problems(record: dict, spec: dict, exact: bool = False, noun: str = "") -> list[str]:
+    """A phrase for each key of spec that record lacks or whose value fails its
+    test, and, with exact, for each key of record outside spec; noun precedes
+    each key's name. A test returns True for a good value, else False or a
+    phrase saying what is wrong; or it is a nested spec, which the value must
+    be an object to meet, with no keys outside it.
     """
-    if not isinstance(table, list):
-        return [f"'tensors' is a JSON {type(table).__name__}, not a list"]
-    itemsize = np.dtype(_DTYPE).itemsize
     problems = []
+    for key, test in spec.items():
+        label, value = f"{noun}{key!r}", record.get(key)
+        if key not in record:
+            problems.append(f"missing {label}")
+        elif isinstance(test, dict):
+            problems += (_problems(value, test, True, f"{label} entry for ")
+                         if isinstance(value, dict) else [f"bad {label} {value!r}"])
+        elif (verdict := test(value)) is not True:
+            problems.append(f"{label} {verdict}" if verdict else f"bad {label} {value!r}")
+    return problems + [f"unexpected {noun}{key!r}" for key in record if exact and key not in spec]
+
+
+def _of(kind):
+    return lambda value: isinstance(value, kind)
+
+
+def _ints(low: int, step: int = 1):
+    """Test: an int of at least low that step divides (JSON true is no int)."""
+    return lambda value: type(value) is int and value >= low and value % step == 0
+
+
+def _numbers(low: float = -math.inf, high: float = math.inf):
+    """Test: a number strictly between low and high, so never NaN or infinite."""
+    return lambda value: type(value) in (int, float) and low < value < high
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(test(item) for item in value)
+
+
+def _tensor_table(table):
+    """Test for a manifest's tensor table, naming every bad entry: entries have
+    distinct string names, shapes of non-negative ints and the float64 dtype,
+    and byte ranges that follow one another from 0, as long as shapes imply."""
+    if not isinstance(table, list):
+        return f"is a JSON {type(table).__name__}, not a list"
+    problems, end = [], 0
+    names = [entry.get("name") if isinstance(entry, dict) else None for entry in table]
     for i, entry in enumerate(table):
         if not isinstance(entry, dict):
             problems.append(f"entry {i} is a JSON {type(entry).__name__}, not an object")
             continue
         name, shape, length = entry.get("name"), entry.get("shape"), entry.get("byte_length")
-        shape_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-        ok = {
-            "name": isinstance(name, str),
-            "shape": shape_ok,
-            "dtype": entry.get("dtype") == _DTYPE,
-            "byte_offset": type(entry.get("byte_offset")) is int,
-            "byte_length": type(length) is int,
-        }
-        bad = [f"missing {key!r}" if key not in entry else f"bad {key!r} {entry[key]!r}"
-               for key, good in ok.items() if not good]
-        if shape_ok and ok["byte_length"] and length != itemsize * math.prod(shape):
-            bad.append(f"'byte_length' {length}, but shape {shape} takes "
-                       f"{itemsize * math.prod(shape)}")
+        size = np.dtype(_DTYPE).itemsize * math.prod(shape) if _list_of(_ints(0))(shape) else None
+        bad = _problems(entry, {
+            "name": lambda n: isinstance(n, str) and (
+                names.index(n) == i or f"repeats entry {names.index(n)}"),
+            "shape": _list_of(_ints(0)),
+            "dtype": lambda dtype: dtype == _DTYPE,
+            "byte_offset": lambda at: _ints(0)(at) and (
+                at == end or f"{at}, but the entries before it end at {end}"),
+            "byte_length": lambda n: _ints(0)(n) and (
+                size in (None, n) or f"{n}, but shape {shape} takes {size}"),
+        }, exact=True)
         if bad:
-            label = f"entry {i} {name!r}" if ok["name"] else f"entry {i}"
+            label = f"entry {i} {name!r}" if isinstance(name, str) else f"entry {i}"
             problems.append(f"{label}: {', '.join(bad)}")
-    return problems
+        end += length if _ints(0)(length) else 0
+    return "; ".join(problems) or True
+
+
+_MANIFEST = {"tensors": _tensor_table, "weights_sha256": _of(str), "metadata": _of(dict)}
+
+_DENOISER = {
+    "kind": lambda kind: kind == "denoiser",
+    "arch": {"data_dim": _ints(1), "hidden": _list_of(_ints(1)), "time_dim": _ints(2, step=2),
+             "guidance_dim": _ints(2, step=2), "cond_dim": _ints(1), "num_conditions": _ints(1),
+             "omega_ref": _numbers(0)},
+    "schedule": {"N": _ints(2), "beta_min": _numbers(0, 1), "beta_max": _numbers(0, 1)},
+    "sigma_data": _numbers(0),
+}
+
+_ADAPTER = {"kind": lambda kind: kind == "adapter", "role": _of(str), "provenance": _of(dict),
+            "ranks": _of(dict), "scales": _of(dict), "base_fingerprint": _of(str),
+            "targets": lambda names: _list_of(_of(str))(names) and (
+                len(set(names)) == len(names) or f"{names} repeats a name")}
+
+
+def _reject(what, problems: list[str], error: type = CheckpointError) -> None:
+    if problems:
+        raise error(f"{what}: {', '.join(problems)}")
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read a checkpoint directory back into (tensors, metadata).
 
-    Verifies the format version, every entry of the tensor table, that the
-    offset table tiles the weight blob exactly, and the SHA-256 of the blob.
+    Verifies the format version, the manifest's keys and every entry of its
+    tensor table, that the table covers the weight blob exactly, and the
+    SHA-256 of the blob.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -125,12 +185,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"checkpoint format version {version}, supported: {FORMAT_VERSION}")
-    for key in ("tensors", "weights_sha256", "metadata"):
-        if key not in manifest:
-            raise CorruptionError(f"{manifest_path} lacks the {key!r} key")
-    problems = _table_problems(manifest["tensors"])
-    if problems:
-        raise CorruptionError(f"{manifest_path} tensor table: {'; '.join(problems)}")
+    _reject(manifest_path, _problems(manifest, _MANIFEST), CorruptionError)
     with open(path / "weights.bin", "rb") as fh:
         blob = fh.read()
     digest = hashlib.sha256(blob).hexdigest()
@@ -138,17 +193,10 @@ def load_checkpoint(path) -> tuple[dict, dict]:
         raise CorruptionError(
             f"weights.bin hash mismatch: manifest {manifest['weights_sha256']}, file {digest}"
         )
-    expected = 0
-    for entry in manifest["tensors"]:
-        if entry["byte_offset"] != expected:
-            raise CorruptionError(
-                f"tensor {entry['name']!r} offset {entry['byte_offset']} leaves a gap "
-                f"(expected {expected})"
-            )
-        expected += entry["byte_length"]
-    if expected != len(blob):
+    covered = sum(entry["byte_length"] for entry in manifest["tensors"])
+    if covered != len(blob):
         raise CorruptionError(
-            f"offset table covers {expected} bytes, weights.bin holds {len(blob)}"
+            f"offset table covers {covered} bytes, weights.bin holds {len(blob)}"
         )
     tensors = {}
     for entry in manifest["tensors"]:
@@ -164,46 +212,26 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 
 def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
              extra: dict | None = None) -> None:
-    meta = {
-        "kind": "denoiser",
-        "arch": net.arch(),
-        "schedule": dict(sched_params),
-        "fingerprint": net_fingerprint(net),
-    }
+    meta = {"kind": "denoiser", "arch": net.arch(), "schedule": dict(sched_params)}
     if extra:
         meta.update(extra)
     save_checkpoint(path, {n: p.data for n, p in net.params.items()}, meta)
 
 
 def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
-    """Load a denoiser checkpoint; its architecture record and every weight's
-    shape are checked against each other before the net is built."""
+    """Load a denoiser checkpoint: its record (sigma_data defaults to SIGMA_DATA)
+    is checked before the net is built, and its tensors against the net's."""
     tensors, meta = load_checkpoint(path)
-    if meta.get("kind") != "denoiser":
-        raise CheckpointError(f"{path} holds a {meta.get('kind')!r} checkpoint, wanted a denoiser")
-    arch = meta.get("arch")
-    if not isinstance(arch, dict):
-        raise CheckpointError(f"{path} has no architecture record")
-    fields = DenoiserNet.arch_fields()
-    problems = ([f"missing field {name!r}" for name in fields if name not in arch]
-                + [f"unknown field {name!r}" for name in arch if name not in fields])
-    if problems:
-        raise CheckpointError(f"{path} architecture record: {', '.join(problems)}")
-    net = DenoiserNet(**arch)
-    problems = []
-    for name, p in net.params.items():
-        if name not in tensors:
-            problems.append(f"missing tensor {name!r}")
-        elif tensors[name].shape != p.shape:
-            problems.append(f"tensor {name!r} has shape {tensors[name].shape}, "
-                            f"the architecture's is {p.shape}")
-    if problems:
-        raise CheckpointError(f"{path} weights: {', '.join(problems)}")
+    meta.setdefault("sigma_data", SIGMA_DATA)
+    _reject(f"{path} denoiser record", _problems(meta, _DENOISER))
+    net = DenoiserNet(**meta["arch"])
+    weights = {name: lambda arr, want=p.shape: arr.shape == want or (
+                   f"has shape {arr.shape}, the architecture's is {want}")
+               for name, p in net.params.items()}
+    _reject(f"{path} denoiser weights", _problems(tensors, weights, True, "tensor "))
     for name in net.params:
         net.params[name] = Tensor(tensors[name], requires_grad=True)
-    sp = meta["schedule"]
-    sched = make_schedule(sp["N"], sp["beta_min"], sp["beta_max"])
-    return net, sched, meta
+    return net, make_schedule(**meta["schedule"]), meta
 
 
 def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None:
@@ -226,44 +254,22 @@ def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None
     save_checkpoint(path, tensors, meta)
 
 
-def _adapter_problems(tensors: dict, meta: dict) -> list[str]:
-    """Missing or bad keys and factor tensors of an adapter record."""
-    kinds = {"role": str, "provenance": dict, "targets": list, "ranks": dict,
-             "scales": dict, "base_fingerprint": str}
-    problems = [f"missing {key!r}" if key not in meta else f"bad {key!r}"
-                for key, kind in kinds.items() if not isinstance(meta.get(key), kind)]
-    if problems:
-        return problems
-    if not all(isinstance(name, str) for name in meta["targets"]):
-        return ["bad 'targets'"]
-    for name in meta["targets"]:
-        rank, scale = meta["ranks"].get(name), meta["scales"].get(name)
-        if type(rank) is not int or rank < 1:
-            problems.append(f"bad 'ranks' entry for {name!r}")
-        if type(scale) not in (int, float) or not np.isfinite(scale):
-            problems.append(f"bad 'scales' entry for {name!r}")
-        for factor, rank_axis in (("lora_A", 0), ("lora_B", 1)):
-            key = f"{name}.{factor}"
-            arr = tensors.get(key)
-            if arr is None:
-                problems.append(f"missing tensor {key!r}")
-            elif arr.ndim != 2 or arr.shape[rank_axis] != rank:
-                problems.append(f"tensor {key!r} has shape {arr.shape}, not rank {rank}")
-    return problems
-
-
 def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
     """Load an adapter bundle; verifies base pairing when a net is given.
 
-    The record's keys and factor tensors are checked before any is used; a
-    bad record raises CheckpointError naming the file and every problem.
+    The record, then each target's rank, scale and two factors, and the
+    absence of other tensors, are checked before any is used.
     """
     tensors, meta = load_checkpoint(path)
-    if meta.get("kind") != "adapter":
-        raise CheckpointError(f"{path} holds a {meta.get('kind')!r} checkpoint, wanted an adapter")
-    problems = _adapter_problems(tensors, meta)
-    if problems:
-        raise CheckpointError(f"{path} adapter record: {', '.join(problems)}")
+    _reject(f"{path} adapter record", _problems(meta, _ADAPTER))
+    entries = {"ranks": dict.fromkeys(meta["targets"], _ints(1)),
+               "scales": dict.fromkeys(meta["targets"], _numbers())}
+    factors = {f"{name}.{factor}": lambda arr, rank=meta["ranks"].get(name), axis=axis: (
+                   (arr.ndim == 2 and arr.shape[axis] == rank)
+                   or f"has shape {arr.shape}, not rank {rank}")
+               for name in meta["targets"] for factor, axis in (("lora_A", 0), ("lora_B", 1))}
+    _reject(f"{path} adapter record",
+            _problems(meta, entries) + _problems(tensors, factors, True, "tensor "))
     adapter = LoraAdapter(meta["base_fingerprint"])
     for name in meta["targets"]:
         adapter.entries[name] = LoraEntry(

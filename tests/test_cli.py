@@ -322,11 +322,51 @@ def _transpose_layer0(manifest):
     return manifest
 
 
-@pytest.mark.parametrize("corrupt,named", [(lambda m: [m], "list"),
-                                           (_drop_weights_hash, "weights_sha256"),
-                                           (_drop_omega_ref, "omega_ref"),
-                                           (_transpose_layer0, "'layer0.weight' has shape")],
-                         ids=["list", "no-hash", "no-omega_ref", "transposed-weight"])
+def _drop_schedule(manifest):
+    del manifest["metadata"]["schedule"]
+    return manifest
+
+
+def _set_meta(*keys, value):
+    """A corruption that sets the metadata entry under keys to value."""
+    def corrupt(manifest):
+        record = manifest["metadata"]
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+        return manifest
+    return corrupt
+
+
+def _rename_tensor(old, new):
+    def corrupt(manifest):
+        next(e for e in manifest["tensors"] if e["name"] == old)["name"] = new
+        return manifest
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda m: [m], "list"),
+    (_drop_weights_hash, "weights_sha256"),
+    (_drop_omega_ref, "omega_ref"),
+    (_transpose_layer0, "'layer0.weight' has shape"),
+    (lambda m: {**m, "metadata": [1]}, "'metadata'"),
+    (_drop_schedule, "'schedule'"),
+    (_set_meta("schedule", value=[10]), "'schedule'"),
+    (_set_meta("schedule", "N", value=10.5), "'N'"),
+    (_set_meta("schedule", "beta_max", value=float("inf")), "'beta_max'"),
+    (_set_meta("arch", "cond_dim", value="8"), "'cond_dim'"),
+    (_set_meta("arch", "hidden", value=[8, -1]), "'hidden'"),
+    (_set_meta("arch", "omega_ref", value=float("inf")), "'omega_ref'"),
+    (_set_meta("sigma_data", value=-1), "'sigma_data'"),
+    (_set_meta("sigma_data", value="abc"), "'sigma_data'"),
+    # the second of two 'layer0.weight' entries would replace the first
+    (_rename_tensor("layer0.bias", "layer0.weight"), "'layer0.weight': 'name' repeats entry"),
+    (_rename_tensor("layer0.bias", "extra"), "unexpected tensor 'extra'"),
+], ids=["list", "no-hash", "no-omega_ref", "transposed-weight", "metadata-list", "no-schedule",
+        "schedule-list", "float-N", "infinite-beta", "string-dim", "negative-width",
+        "infinite-omega_ref", "negative-sigma_data", "string-sigma_data", "repeated-name",
+        "stray-tensor"])
 def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):
     net = DenoiserNet(hidden=(8,), num_conditions=2)
     save_net(run_root / "net.ckpt", net, make_schedule(10),
@@ -358,6 +398,40 @@ def test_sample_rejects_adapter_manifest_without_targets(run_root, capsys):
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error:") and "a.ckpt" in err and "'targets'" in err and "\n" not in err
+    assert not (run_root / "bad.csv").exists()
+
+
+def _repeat_target(meta):
+    meta["targets"].append(meta["targets"][0])
+
+
+def _drop_last_target(meta):
+    # its two factor tensors stay in the checkpoint
+    name = meta["targets"].pop()
+    del meta["ranks"][name], meta["scales"][name]
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_repeat_target, "'targets'"),
+    (_drop_last_target, "unexpected tensor 'layer1.weight.lora_A'"),
+], ids=["repeated-target", "stray-factor"])
+def test_sample_rejects_adapter_record_that_the_factors_do_not_match(run_root, capsys, edit,
+                                                                      named):
+    net = DenoiserNet(hidden=(8,), num_conditions=2)
+    save_net(run_root / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05})
+    save_adapter(run_root / "a.ckpt",
+                 AdapterBundle(attach(net, rank=2, cap_rank=True), "acceleration", {}))
+    path = run_root / "a.ckpt" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["metadata"])
+    path.write_text(json.dumps(manifest))
+    assert main(["sample", "--ckpt", "net.ckpt", "--adapter", "a.ckpt", "--count", "4",
+                 "--out", "bad.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "a.ckpt" in err and named in err and "\n" not in err
     assert not (run_root / "bad.csv").exists()
 
 

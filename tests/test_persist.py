@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cdlora.denoiser import DenoiserNet, architecture_fingerprint, net_fingerprint
+from cdlora.denoiser import SIGMA_DATA, DenoiserNet, architecture_fingerprint, net_fingerprint
 from cdlora.lora import AdapterBundle, AdapterError, attach
 from cdlora.persist import (
     CheckpointError,
@@ -227,6 +227,55 @@ def test_tensor_table_names_every_bad_entry(tmp_path):
     assert "\n" not in msg
 
 
+def test_tensor_table_rejects_a_repeated_name(tmp_path):
+    save_checkpoint(tmp_path / "c.ckpt", random_tensors(), {})
+
+    def edit(m):
+        # a reader keyed by name would keep only the second 'layer0.weight'
+        m["tensors"][1]["name"] = "layer0.weight"
+        return m
+
+    _rewrite_manifest(tmp_path / "c.ckpt", edit)
+    with pytest.raises(CorruptionError, match="entry 1 'layer0.weight': 'name' repeats entry 0"):
+        load_checkpoint(tmp_path / "c.ckpt")
+
+
+def _small_net(tmp_path, extra=None):
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2, stream=substream(6, "init"))
+    save_net(tmp_path / "net.ckpt", net, make_schedule(10),
+             {"N": 10, "beta_min": 1e-4, "beta_max": 0.05}, extra)
+    return net
+
+
+def test_net_rejects_a_tensor_its_record_does_not_imply(tmp_path):
+    _small_net(tmp_path)
+    tensors, meta = load_checkpoint(tmp_path / "net.ckpt")
+    save_checkpoint(tmp_path / "net.ckpt", {**tensors, "extra": np.zeros(3)}, meta)
+    with pytest.raises(CheckpointError) as err:
+        load_net(tmp_path / "net.ckpt")
+    assert str(err.value) == f"{tmp_path / 'net.ckpt'} denoiser weights: unexpected tensor 'extra'"
+
+
+@pytest.mark.parametrize("value", [-1, 0, "abc", float("nan"), float("inf"), True, None])
+def test_net_sigma_data_checked(tmp_path, value):
+    _small_net(tmp_path, {"sigma_data": value})
+    with pytest.raises(CheckpointError) as err:
+        load_net(tmp_path / "net.ckpt")
+    assert str(err.value) == f"{tmp_path / 'net.ckpt'} denoiser record: bad 'sigma_data' {value!r}"
+
+
+def test_net_record_defaults_sigma_data_and_drops_the_fingerprint(tmp_path):
+    net = _small_net(tmp_path)
+    manifest = json.loads((tmp_path / "net.ckpt" / "manifest.json").read_text())
+    # arch already fixes the fingerprint, which check_fit recomputes from the net
+    assert set(manifest["metadata"]) == {"kind", "arch", "schedule"}
+    assert load_net(tmp_path / "net.ckpt")[2]["sigma_data"] == SIGMA_DATA
+    # a checkpoint written before the key was dropped still loads
+    _rewrite_manifest(tmp_path / "net.ckpt", lambda m: {
+        **m, "metadata": {**m["metadata"], "fingerprint": net_fingerprint(net)}})
+    assert load_net(tmp_path / "net.ckpt")[0].arch() == net.arch()
+
+
 def test_adapter_round_trip_and_pairing(tmp_path):
     net = DenoiserNet(data_dim=2, hidden=(16, 16), num_conditions=8,
                       stream=substream(2, "init"))
@@ -290,6 +339,26 @@ def test_adapter_record_names_every_bad_entry_and_tensor(tmp_path):
                  "'guidance_proj.weight.lora_A' has shape (1, 8)"):
         assert part in msg
     assert "\n" not in msg
+
+
+def test_adapter_rejects_repeated_targets(tmp_path):
+    net, tensors, meta = _adapter_record(tmp_path)
+    meta["targets"].append("layer0.weight")
+    save_checkpoint(tmp_path / "b.ckpt", tensors, meta)
+    with pytest.raises(CheckpointError) as err:
+        load_adapter(tmp_path / "b.ckpt", base_net=net)
+    msg = str(err.value)
+    assert str(tmp_path / "b.ckpt") in msg and "'targets'" in msg and "repeats" in msg
+
+
+def test_adapter_rejects_a_tensor_no_target_names(tmp_path):
+    net, tensors, meta = _adapter_record(tmp_path)
+    tensors["layer9.weight.lora_A"] = np.zeros((2, 8))
+    save_checkpoint(tmp_path / "b.ckpt", tensors, meta)
+    with pytest.raises(CheckpointError) as err:
+        load_adapter(tmp_path / "b.ckpt", base_net=net)
+    assert str(err.value) == (f"{tmp_path / 'b.ckpt'} adapter record: "
+                              "unexpected tensor 'layer9.weight.lora_A'")
 
 
 def test_adapter_factors_must_fit_the_base_layers(tmp_path):
