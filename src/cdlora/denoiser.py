@@ -30,6 +30,8 @@ from cdlora.tensor import (
     embed_rows,
     matmul,
     mul,
+    pad_cols,
+    product,
     scale_rows,
     silu,
     silu_den,
@@ -42,8 +44,8 @@ from cdlora.tensor import (
 # Consistency Models (Song et al., 2023, arXiv 2303.01469)
 SIGMA_DATA = 0.5
 
-# rows per block of an off-tape forward's trunk (embeddings and hidden layers):
-# a 256 x 128 float64 activation (256 KB) stays in a core's L2 cache between primitives
+# rows per block of an off-tape forward: a 256 x 128 float64 activation
+# (256 KB) stays in a core's L2 cache from one layer to the next
 BLOCK_ROWS = 256
 
 
@@ -52,37 +54,43 @@ def _rows(flat: np.ndarray, r: int, c: int) -> np.ndarray:
     return flat[: r * c].reshape(r, c)
 
 
-def _affine(x, w, b, lora, out, low, scratch) -> None:
-    """out = x w + s (x A^T) B^T + b in place, in _dense's order of operations.
+def _affine(x, layer, buf, low, scratch, dst=None) -> np.ndarray:
+    """x W + s (x A^T) B^T + b for one row block, in _dense's order of operations.
 
-    lora is None or (A^T, B^T, s) with both transposes contiguous, as the
-    taped path's transpose primitive makes them; low and scratch are flat
-    buffers for the adapter's rank-wide product and its delta.
+    layer comes from DenoiserNet._padded_layer: every right operand is padded
+    to whole column groups and goes through tensor.product, like the matmul
+    primitive's forward. The base product fills the flat buffer buf, and the
+    adapter delta is added to it in place; low and scratch are flat buffers
+    for the rank-wide product and the delta. The bias is added in place and
+    the view of buf returned, or, given dst, written into dst.
     """
-    np.matmul(x, w, out=out)
+    w, n, b, lora = layer
+    y = product(x, w, n, out=buf)
     if lora is not None:
-        at, bt, scale = lora
-        r = x.shape[0]
-        u = np.matmul(x, at, out=_rows(low, r, at.shape[1]))
-        delta = np.matmul(u, bt, out=_rows(scratch, r, bt.shape[1]))
+        at, rank, bt, scale = lora
+        delta = product(product(x, at, rank, out=low), bt, n, out=scratch)
         if scale != 1.0:
             delta *= scale
-        out += delta
-    out += b
+        y += delta
+    if dst is None:
+        y += b
+        return y
+    return np.add(y, b, out=dst)
 
 
-def sinusoidal_features(x, dim: int) -> np.ndarray:
-    """(m, dim) sin/cos features of a scalar signal at geometric frequencies.
+def sinusoidal_table(x, dim: int) -> tuple:
+    """(table, rows): sin/cos features at geometric frequencies of the
+    distinct values of a scalar signal, and each element's row in the table.
 
-    sin/cos run once per distinct value of x and the rows are gathered, so a
-    batch that shares one timestep or guidance scale pays for one row.
+    table[rows] is the (m, dim) feature matrix; sin/cos run once per distinct
+    value, so a batch that shares one timestep or guidance scale pays for one row.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
     values, rows = np.unique(x, return_inverse=True)
     ang = values[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)[rows]
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rows
 
 
 def architecture_fingerprint(named_shapes) -> str:
@@ -195,64 +203,77 @@ class DenoiserNet:
             h = silu(self._dense(h, f"layer{i}", adapter))
         return h
 
-    def _blocked_trunk(self, z, tf, gf, cond, adapter) -> np.ndarray:
-        """_trunk off the tape, over near-equal row blocks of at most BLOCK_ROWS rows.
+    def _padded_layer(self, name: str, adapter) -> tuple:
+        """(W, n, bias, lora) of one dense layer for _affine: W padded by
+        pad_cols and n its own column count; lora is None or (A^T, rank, B^T,
+        scale), with both transposes contiguous, as the transpose primitive
+        makes them, and padded the same way."""
+        w = self.params[f"{name}.weight"].data
+        entry = adapter.entries.get(f"{name}.weight") if adapter is not None else None
+        lora = None if entry is None else (pad_cols(np.ascontiguousarray(entry.a.data.T)), entry.rank,
+                                           pad_cols(np.ascontiguousarray(entry.b.data.T)), entry.scale)
+        return pad_cols(w), w.shape[1], self.params[f"{name}.bias"].data, lora
 
-        The blocks run through a few buffers allocated once per call:
-        np.matmul writes into them, then the adapter delta, the bias and SiLU
-        (through tensor.silu_den) apply in place, in the primitives' order of
-        operations, so the bits are the primitives' bits. The last hidden
-        layer of each block lands in one whole-batch array, which is returned.
+    def _blocked_forward(self, z, t_feats, g_feats, cond, adapter) -> np.ndarray:
+        """The forward off the tape, over near-equal row blocks of at most BLOCK_ROWS rows.
+
+        t_feats and g_feats are sinusoidal_table pairs; each block gathers its
+        own feature rows from the distinct-value tables. The weights are
+        padded once per call, and the blocks run through a few buffers
+        allocated once per call: tensor.product writes into them, then the
+        adapter delta, the bias and SiLU (through tensor.silu_den) apply in
+        place, in the primitives' order of operations, so the bits are the
+        primitives' bits. Each block's output layer writes the block's rows
+        of the returned (m, data_dim) array; no whole-batch activation exists.
         """
         m = z.shape[0]
-        layers = []
-        for name in ("time_proj", "guidance_proj", *(f"layer{i}" for i in range(self.n_layers - 1))):
-            entry = adapter.entries.get(f"{name}.weight") if adapter is not None else None
-            lora = None if entry is None else (np.ascontiguousarray(entry.a.data.T),
-                                               np.ascontiguousarray(entry.b.data.T), entry.scale)
-            layers.append((self.params[f"{name}.weight"].data, self.params[f"{name}.bias"].data, lora))
-        proj, hidden_layers = layers[:2], layers[2:]
+        names = ("time_proj", "guidance_proj", *(f"layer{i}" for i in range(self.n_layers)))
+        layers = [self._padded_layer(name, adapter) for name in names]
+        proj, hidden_layers, last = layers[:2], layers[2:-1], layers[-1]
         parts = -(-m // BLOCK_ROWS)
         size = -(-m // parts)  # rows of the largest block
-        width = max(w.shape[1] for w, _, _ in layers)
-        rank = max((lora[0].shape[1] for _, _, lora in layers if lora is not None), default=0)
-        x = np.empty((size, hidden_layers[0][0].shape[0]))
+        width = max(w.shape[1] for w, _, _, _ in layers)
+        rank = max((lora[0].shape[1] for _, _, _, lora in layers if lora is not None), default=0)
+        x = np.empty((size, layers[2][0].shape[0]))
+        feats = np.empty(size * max(self.time_dim, self.guidance_dim))
         acts = (np.empty(size * width), np.empty(size * width))
         # an adapter delta is spent before the SiLU denominator is needed
         scratch = np.empty(size * width)
         low = np.empty(size * rank)
-        hidden = np.empty((m, hidden_layers[-1][0].shape[1]))
+        eps = np.empty((m, self.data_dim))
         table = self.params["cond_table"].data
-        blocks = (np.array_split(a, parts) for a in (hidden, z, tf, gf, cond))
-        for out, zb, tb, gb, cb in zip(*blocks):
+        blocks = (np.array_split(a, parts) for a in (eps, z, t_feats[1], g_feats[1], cond))
+        for dst, zb, tb, gb, cb in zip(*blocks):
             r = zb.shape[0]
             h = x[:r]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
             c = self.data_dim
             h[:, :c] = zb
-            for feats, (w, b, lora) in zip((tb, gb), proj):
-                _affine(feats, w, b, lora, h[:, c:c + w.shape[1]], low, scratch)
-                c += w.shape[1]
-            h[:, c:] = table[cb]
-            for i, (w, b, lora) in enumerate(hidden_layers):
-                dst = out if i == len(hidden_layers) - 1 else _rows(acts[i % 2], r, w.shape[1])
-                _affine(h, w, b, lora, dst, low, scratch)
-                dst /= silu_den(dst, _rows(scratch, r, w.shape[1]))
-                h = dst
-        return hidden
+            # the ids are in range, and mode="clip" lets np.take write into out unbuffered
+            for (values, idx), layer in zip(((t_feats[0], tb), (g_feats[0], gb)), proj):
+                f = np.take(values, idx, axis=0, out=_rows(feats, r, values.shape[1]), mode="clip")
+                _affine(f, layer, acts[0], low, scratch, dst=h[:, c:c + layer[1]])
+                c += layer[1]
+            np.take(table, cb, axis=0, out=h[:, c:], mode="clip")
+            for i, layer in enumerate(hidden_layers):
+                h = _affine(h, layer, acts[i % 2], low, scratch)
+                h /= silu_den(h, _rows(scratch, r, layer[1]))
+            _affine(h, last, acts[len(hidden_layers) % 2], low, scratch, dst=dst)
+        return eps
 
     def forward(self, z, omega, cond, t, adapter=None) -> Tensor:
         """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row.
 
-        Off the tape, a batch of more than BLOCK_ROWS rows runs all but the
-        output layer over near-equal row blocks of at most BLOCK_ROWS rows,
-        so each block's activations stay in cache. The blocks skip the
-        primitives: they run in place through buffers allocated once per
-        call (_blocked_trunk), with the primitives' arithmetic. The output
-        layer runs once on the whole batch, since its narrow BLAS product
-        rounds differently for different row counts; the other products give
-        the same bits for any block of 2 or more rows (tests/test_denoiser.py
-        checks this). On the tape, and for a batch of at most BLOCK_ROWS rows,
-        the whole batch runs through the primitives, so the graph is unchanged.
+        Off the tape, a batch of more than BLOCK_ROWS rows runs every layer
+        over near-equal row blocks of at most BLOCK_ROWS rows, so each
+        block's activations stay in cache. The blocks skip the primitives:
+        they run in place through buffers allocated once per call
+        (_blocked_forward), with the primitives' arithmetic, and write the
+        output rows straight into the result. Every forward product pads its
+        right operand to whole 8-column groups (tensor.product), which gives
+        the same bits for any block of 2 or more rows as for the whole batch
+        (tests/test_denoiser.py checks this). On the tape, and for a batch of
+        at most BLOCK_ROWS rows, the whole batch runs through the primitives,
+        so the graph is unchanged.
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.data_dim:
@@ -266,17 +287,19 @@ class DenoiserNet:
             raise ValueError(
                 f"condition id outside [0, {self.null_id}] (null id is {self.null_id})"
             )
-        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,))
+        t_feats = sinusoidal_table(np.broadcast_to(np.asarray(t, dtype=np.float64), (m,)), self.time_dim)
+        g_feats = sinusoidal_table(omega_arr / self.omega_ref, self.guidance_dim)
 
-        # the inputs' one finiteness scan: NaN or Inf in z, t or omega raises here
-        rows = [Tensor(z), Tensor(sinusoidal_features(t_arr, self.time_dim)),
-                Tensor(sinusoidal_features(omega_arr / self.omega_ref, self.guidance_dim))]
+        # the inputs' one finiteness scan, over z and the distinct feature
+        # rows: NaN or Inf in z, t or omega raises here
+        if not all(np.all(np.isfinite(a)) for a in (z, t_feats[0], g_feats[0])):
+            raise NonFiniteError("tensor data contains NaN or Inf")
         if taping() or m <= BLOCK_ROWS:
+            rows = [_wrap(np.ascontiguousarray(z)), *(_wrap(v[idx]) for v, idx in (t_feats, g_feats))]
             h = self._trunk(*rows, cond_arr, adapter)
+            h = self._dense(h, f"layer{self.n_layers - 1}", adapter)
         else:
-            # a non-finite hidden value fails the output check below
-            h = _wrap(self._blocked_trunk(*(r.data for r in rows), cond_arr, adapter))
-        h = self._dense(h, f"layer{self.n_layers - 1}", adapter)
+            h = _wrap(self._blocked_forward(z, t_feats, g_feats, cond_arr, adapter))
         if not np.all(np.isfinite(h.data)):
             raise NonFiniteError("non-finite activations in denoiser forward")
         return h

@@ -219,11 +219,15 @@ def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
 
 
 def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
-    """Load a denoiser checkpoint: its record (sigma_data defaults to SIGMA_DATA)
-    is checked before the net is built, and its tensors against the net's."""
+    """Load a denoiser checkpoint: its record (sigma_data defaults to SIGMA_DATA),
+    with beta_min <= beta_max, is checked before the net is built, and its
+    tensors against the net's."""
     tensors, meta = load_checkpoint(path)
     meta.setdefault("sigma_data", SIGMA_DATA)
     _reject(f"{path} denoiser record", _problems(meta, _DENOISER))
+    low = meta["schedule"]["beta_min"]
+    pair = {"beta_max": lambda high: high >= low or f"{high} is below 'beta_min' {low}"}
+    _reject(f"{path} denoiser record", _problems(meta["schedule"], pair, noun="'schedule' entry for "))
     net = DenoiserNet(**meta["arch"])
     weights = {name: lambda arr, want=p.shape: arr.shape == want or (
                    f"has shape {arr.shape}, the architecture's is {want}")

@@ -182,15 +182,57 @@ def stopgrad(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# forward products
+
+# a forward product's right operand is widened to whole groups of this many columns
+COL_GROUP = 8
+
+
+def pad_cols(b: np.ndarray) -> np.ndarray:
+    """b with zero columns appended up to a whole number of COL_GROUP groups;
+    b itself when its column count is whole already."""
+    n = b.shape[1]
+    width = -(-n // COL_GROUP) * COL_GROUP
+    if width == n:
+        return b
+    out = np.zeros((b.shape[0], width))
+    out[:, :n] = b
+    return out
+
+
+def product(a: np.ndarray, b: np.ndarray, n: Optional[int] = None, out=None) -> np.ndarray:
+    """The first n columns (all of b's by default) of a @ pad_cols(b).
+
+    OpenBLAS rounds a product whose column count ends in a partial group
+    differently for different row counts; over whole groups, every block of
+    2 or more rows of a gets the bits of the same rows of the whole product.
+    So every forward product goes through here, and a forward run over row
+    blocks equals the whole-batch forward bit for bit. b may come padded
+    already, with n its unpadded column count, so a caller that multiplies
+    many blocks pads once. out, when given, is a flat buffer that the padded
+    product fills from the front; the result is then a view of it.
+    """
+    n = b.shape[1] if n is None else n
+    b = pad_cols(b)
+    if out is not None:
+        out = out[: a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
+    full = np.matmul(a, b, out=out)
+    return full if full.shape[1] == n else full[:, :n]
+
+
+# ---------------------------------------------------------------------------
 # primitives
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product; backward is dL/da = g @ b^T, dL/db = a^T @ g.
 
-    The backward skips the product of an operand that needs no gradient,
-    such as a frozen base weight or a constant feature matrix, and keeps
-    each operand's values only for the other operand's gradient.
+    The forward runs through `product`, so it rounds alike for any row count
+    of 2 or more, and copies a padded product's leading columns out, so the
+    output is contiguous like every primitive's. The backward skips the
+    product of an operand that needs no gradient, such as a frozen base
+    weight or a constant feature matrix, and keeps each operand's values only
+    for the other operand's gradient.
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible")
@@ -201,7 +243,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (None if bd is None else g @ bd.T,
                 None if ad is None else ad.T @ g)
 
-    return _record(a.data @ b.data, (a, b), bwd)
+    return _record(np.ascontiguousarray(product(a.data, b.data)), (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -355,6 +355,7 @@ def _rename_tensor(old, new):
     (_set_meta("schedule", value=[10]), "'schedule'"),
     (_set_meta("schedule", "N", value=10.5), "'N'"),
     (_set_meta("schedule", "beta_max", value=float("inf")), "'beta_max'"),
+    (_set_meta("schedule", "beta_min", value=0.2), "'beta_max' 0.05 is below 'beta_min' 0.2"),
     (_set_meta("arch", "cond_dim", value="8"), "'cond_dim'"),
     (_set_meta("arch", "hidden", value=[8, -1]), "'hidden'"),
     (_set_meta("arch", "omega_ref", value=float("inf")), "'omega_ref'"),
@@ -364,7 +365,7 @@ def _rename_tensor(old, new):
     (_rename_tensor("layer0.bias", "layer0.weight"), "'layer0.weight': 'name' repeats entry"),
     (_rename_tensor("layer0.bias", "extra"), "unexpected tensor 'extra'"),
 ], ids=["list", "no-hash", "no-omega_ref", "transposed-weight", "metadata-list", "no-schedule",
-        "schedule-list", "float-N", "infinite-beta", "string-dim", "negative-width",
+        "schedule-list", "float-N", "infinite-beta", "betas-swapped", "string-dim", "negative-width",
         "infinite-omega_ref", "negative-sigma_data", "string-sigma_data", "repeated-name",
         "stray-tensor"])
 def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):

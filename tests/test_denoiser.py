@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from cdlora.denoiser import (
     ConsistencyHead,
     DenoiserNet,
     consistency_forward,
-    sinusoidal_features,
+    sinusoidal_table,
 )
 from cdlora.lora import attach
 from cdlora.rng import substream
@@ -90,9 +91,9 @@ def test_non_finite_activation_reported():
 
 
 def test_sinusoidal_feature_shape():
-    f = sinusoidal_features(np.array([0.1, 0.5]), 16)
-    assert f.shape == (2, 16)
-    assert np.all(np.isfinite(f))
+    table, rows = sinusoidal_table(np.array([0.1, 0.5, 0.1]), 16)
+    assert table.shape == (2, 16) and rows.tolist() == [0, 1, 0]
+    assert np.all(np.isfinite(table))
 
 
 def test_sinusoidal_features_equal_direct_formula():
@@ -108,29 +109,45 @@ def test_sinusoidal_features_equal_direct_formula():
     for name, x in inputs.items():
         ang = np.atleast_1d(x)[:, None] * freqs[None, :]
         direct = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-        assert np.array_equal(sinusoidal_features(x, 16), direct), name
+        table, rows = sinusoidal_table(x, 16)
+        assert np.array_equal(table[rows], direct), name
 
 
-def _busy_net(seed, scale=None):
-    """A net with a random last layer, and with a rank-8 adapter at `scale`
-    unless scale is None."""
-    net = DenoiserNet(stream=substream(seed, "init/net"))
-    last = net.params["layer3.weight"]
+def _busy_net(seed, scale=None, rank=8, hidden=(128, 128, 128)):
+    """A net with a random last layer, and with an adapter of `rank` at
+    `scale` unless scale is None."""
+    net = DenoiserNet(hidden=hidden, stream=substream(seed, "init/net"))
+    last = net.params[f"layer{net.n_layers - 1}.weight"]
     last.data[:] = substream(seed, "test/last").normal(last.shape)
     if scale is None:
         return net, None
-    adapter = attach(net, rank=8, scale=scale, stream=substream(seed, "init/lora"),
+    adapter = attach(net, rank=rank, scale=scale, stream=substream(seed, "init/lora"),
                      cap_rank=True)
     for e in adapter.entries.values():
         e.b.data[:] = 0.1 * substream(seed, "test/b").normal(e.b.shape)
     return net, adapter
 
 
-# scale 0.5 runs the blocked path's own scaling of the adapter's delta
-@pytest.mark.parametrize("scale", [None, 1.0, 0.5], ids=["base", "rank8", "rank8-scale0.5"])
+# (scale, rank, hidden) of the net under test; scale 0.5 runs the blocked
+# path's own scaling of the adapter's delta, and ranks and widths that are
+# not whole 8-column groups check the padded products
+NETS = {
+    "base": (None, 8, (128, 128, 128)),
+    "rank8": (1.0, 8, (128, 128, 128)),
+    "rank8-scale0.5": (0.5, 8, (128, 128, 128)),
+    **{f"rank{r}": (1.0, r, (128, 128, 128)) for r in (1, 2, 4, 12)},
+    "hidden20": (None, 8, (20, 20)),
+    "hidden20-rank3": (1.0, 3, (20, 20)),
+    "hidden100": (None, 8, (100, 100)),
+    "hidden100-rank13": (0.5, 13, (100, 100)),
+}
+
+
+@pytest.mark.parametrize("net_id", list(NETS))
 @pytest.mark.parametrize("m", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 600, 4000])
-def test_blocked_forward_equals_whole_batch_on_tape(m, scale):
-    net, adapter = _busy_net(41, scale)
+def test_blocked_forward_equals_whole_batch_on_tape(m, net_id):
+    scale, rank, hidden = NETS[net_id]
+    net, adapter = _busy_net(41, scale, rank, hidden)
     stream = substream(42, "test/blocked")
     z = stream.normal((m, 2))
     per_row = (14.0 * stream.uniform(m), stream.integers(m, 0, net.null_id), stream.uniform(m))
@@ -140,6 +157,24 @@ def test_blocked_forward_equals_whole_batch_on_tape(m, scale):
             whole = net.forward(z, omega, cond, t, adapter=adapter)
         assert whole.requires_grad
         assert np.array_equal(off_tape, whole.data)
+
+
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["base", "rank8"])
+def test_blocked_forward_holds_no_whole_batch_activation(scale):
+    # 4,000 rows of a 128-wide activation would be 4 MB; the blocks' buffers,
+    # the inputs' distinct-value tables and the (4000, 2) result are about 1 MB
+    net, adapter = _busy_net(48, scale)
+    stream = substream(49, "test/peak")
+    z = stream.normal((4000, 2))
+    cond = stream.integers(4000, 0, net.null_id)
+    net.forward(z, 7.5, cond, 0.4, adapter=adapter)
+    tracemalloc.start()
+    try:
+        net.forward(z, 7.5, cond, 0.4, adapter=adapter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_only_off_tape_forwards_are_blocked(monkeypatch):

@@ -16,6 +16,8 @@ from cdlora.tensor import (
     matmul,
     mean_all,
     mul,
+    pad_cols,
+    product,
     scale_rows,
     silu,
     square,
@@ -51,6 +53,34 @@ def test_matmul_gradient_vs_finite_differences():
     b = Tensor(stream.normal((4, 2)), requires_grad=True)
     rel = grad_check(lambda: sum_all(matmul(a, b)), [a, b], h=1e-5)
     assert rel < 1e-6
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_product_row_blocks_equal_whole_batch(n):
+    # any block of 2 or more rows gets the whole product's bits, at every
+    # column count, from a padded or an unpadded right operand
+    stream = substream(9, f"test/product-{n}")
+    for inner in (2, 34, 128):
+        a = stream.normal((1000, inner))
+        b = stream.normal((inner, n))
+        whole = product(a, b)
+        assert whole.shape == (1000, n)
+        np.testing.assert_allclose(whole, a @ b, rtol=1e-12, atol=1e-12)
+        buf = np.empty(256 * pad_cols(b).shape[1])
+        for rows in (2, 3, 7, 129, 250, 256):
+            for lo in (0, 1000 - rows - 5):
+                block = a[lo:lo + rows]
+                assert np.array_equal(product(block, b), whole[lo:lo + rows])
+                assert np.array_equal(product(block, pad_cols(b), n, out=buf), whole[lo:lo + rows])
+
+
+def test_pad_cols_appends_zero_columns_to_whole_groups():
+    b = substream(10, "test/pad").normal((3, 5))
+    padded = pad_cols(b)
+    assert padded.shape == (3, 8)
+    assert np.array_equal(padded[:, :5], b) and np.all(padded[:, 5:] == 0.0)
+    whole = substream(10, "test/pad-whole").normal((3, 16))
+    assert pad_cols(whole) is whole
 
 
 @pytest.mark.parametrize("prim, frozen", [("matmul", "a"), ("matmul", "b"), ("add_bias", "b")],

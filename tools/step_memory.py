@@ -1,4 +1,4 @@
-"""Per-step memory and page faults of the training steps at the default config.
+"""Per-step memory and page faults of the training steps and sampling calls at the default config.
 
 Runs teacher steps (`train_teacher` on a fresh net) and distillation steps
 (`lcd_distill` of a rank-8 adapter on a short teacher), all at the default
@@ -11,8 +11,13 @@ end. For each phase it prints, over the steps after the first WARMUP:
 - minor faults: minor page faults per step (`getrusage`), from a separate pass
   without tracemalloc, since tracemalloc's own bookkeeping moves the heap.
 
+A sampling phase then measures the same two figures per call, over the calls
+after the first of SAMPLE_CALLS, for one guided 50-step `ddim_sample` and one
+4-step `lcm_multistep_sample` through a fresh rank-8 adapter, each of the
+config's `sample.count` points from the short teacher.
+
 Fault counts depend on the heap layout that set-up leaves, so they vary with
-the seed and even with the checkout directory's name; the step peak does not.
+the seed and even with the checkout directory's name; the peaks do not.
 
 Run from the repository root, against the tree under test:
 
@@ -26,13 +31,19 @@ import resource
 import statistics
 import tracemalloc
 
+import numpy as np
+
 from cdlora import (
+    ConsistencyHead,
     DenoiserNet,
     DistillConfig,
     Encoder,
+    StepSchedule,
     TrainOpts,
     attach,
+    ddim_sample,
     lcd_distill,
+    lcm_multistep_sample,
     load_config,
     make_dataset,
     make_schedule,
@@ -42,6 +53,7 @@ from cdlora import (
 
 TEACHER_SETUP_STEPS = 100   # the short teacher that distillation starts from
 WARMUP = 5                  # first steps left out: they allocate optimizer and EMA state
+SAMPLE_CALLS = 4            # calls per sampler and pass; the first is left out
 
 
 def _minor_faults() -> int:
@@ -49,8 +61,9 @@ def _minor_faults() -> int:
 
 
 class StepProbe:
-    """metrics= object of a training loop: reads each step's faults, and its
-    memory peak when tracemalloc is tracing."""
+    """metrics= object of a training loop, or marked after each sampling call:
+    reads each step's or call's faults, and its memory peak when tracemalloc
+    is tracing."""
 
     def __init__(self):
         self.peaks_mb: list = []
@@ -64,13 +77,17 @@ class StepProbe:
         self._faults = _minor_faults()
 
     def add(self, step: int, loss: float, wall_ms: float) -> None:
+        self.mark()
+
+    def mark(self) -> None:
+        """Close one step or call and begin the next."""
         self.faults.append(_minor_faults() - self._faults)
         if tracemalloc.is_tracing():
             self.peaks_mb.append((tracemalloc.get_traced_memory()[1] - self._live) / 2**20)
         self._begin()
 
 
-def _probe(run, steps: int) -> tuple:
+def _probe(run, steps: int, warmup: int = WARMUP) -> tuple:
     """Run the phase twice, untraced for faults and traced for memory peaks."""
     plain = StepProbe()
     run(steps, plain)
@@ -80,7 +97,17 @@ def _probe(run, steps: int) -> tuple:
         run(steps, traced)
     finally:
         tracemalloc.stop()
-    return traced.peaks_mb[WARMUP:], plain.faults[WARMUP:]
+    return traced.peaks_mb[warmup:], plain.faults[warmup:]
+
+
+def _print_table(unit: str, rows) -> None:
+    """One line per (name, run, count, warmup): peak MB and faults per unit."""
+    print(f"{'phase':<13}  {unit + 's':>5}  {unit + ' peak MB (median, max)':>26}  "
+          f"{'minor faults per ' + unit + ' (median, max)':>35}")
+    for name, run, count, warmup in rows:
+        peaks, faults = _probe(run, count, warmup)
+        print(f"{name:<13}  {len(peaks):>5}  {statistics.median(peaks):>17.2f}  {max(peaks):>6.2f}  "
+              f"{statistics.median(faults):>26.0f}  {max(faults):>6d}")
 
 
 def main() -> None:
@@ -117,12 +144,29 @@ def main() -> None:
                     DistillConfig(**{**section("distill"), "steps": steps, "seed": args.seed}),
                     metrics=probe)
 
-    print(f"{'phase':<8}  {'steps':>5}  {'step peak MB (median, max)':>26}  "
-          f"{'minor faults per step (median, max)':>35}")
-    for name, run in (("teacher", teacher_run), ("distill", distill_run)):
-        peaks, faults = _probe(run, args.steps)
-        print(f"{name:<8}  {len(peaks):>5}  {statistics.median(peaks):>17.2f}  {max(peaks):>6.2f}  "
-              f"{statistics.median(faults):>26.0f}  {max(faults):>6d}")
+    sample = cfg["sample"]
+    count = sample["count"]
+    head = ConsistencyHead.for_schedule(sched, cfg["net"]["sigma_data"])
+    steps = StepSchedule.evenly_spaced(sample["steps"], sched.N)
+    adapter = attach(teacher, rank=8, stream=substream(args.seed, "init/lora"), cap_rank=True)
+    cond = np.arange(count) % teacher.num_conditions
+
+    def ddim_run(calls, probe):
+        for _ in range(calls):
+            ddim_sample(teacher, sched, 50, sample["omega"], cond, count, args.seed)
+            probe.mark()
+
+    def lcm_run(calls, probe):
+        for _ in range(calls):
+            lcm_multistep_sample(teacher, head, sched, steps, sample["omega"], cond, count, args.seed,
+                                 adapter=adapter)
+            probe.mark()
+
+    _print_table("step", [("teacher", teacher_run, args.steps, WARMUP),
+                          ("distill", distill_run, args.steps, WARMUP)])
+    print()
+    _print_table("call", [("ddim-50", ddim_run, SAMPLE_CALLS, 1),
+                          ("lcm-4 rank 8", lcm_run, SAMPLE_CALLS, 1)])
 
 
 if __name__ == "__main__":
