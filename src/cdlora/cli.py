@@ -21,7 +21,7 @@ from cdlora.config import DEFAULTS, effective_json, load_config
 from cdlora.datasets import make_dataset
 from cdlora.denoiser import ConsistencyHead, DenoiserNet
 from cdlora.lora import attach, combine, count_trainable, merge
-from cdlora.persist import load_adapter, load_net, save_adapter, save_net
+from cdlora.persist import load_adapter, load_net, net_record, save_adapter, save_net
 from cdlora.rng import substream
 from cdlora.sampling_eval import (
     StepSchedule,
@@ -52,10 +52,6 @@ def _resolve(path: str) -> Path:
     return p if p.is_absolute() else Path(os.environ.get(RUN_ROOT_ENV, ".")) / p
 
 
-def _echo(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _build_dataset(cfg: dict):
     ds_cfg = cfg["dataset"]
     return make_dataset(ds_cfg["kind"], ds_cfg["count"], cfg["seed"], **ds_cfg["params"])
@@ -78,10 +74,12 @@ def _attach_adapter(net, cfg):
     )
 
 
-def _section_opts(cls, cfg: dict, name: str):
-    """TrainOpts or DistillConfig from config section `name` plus the run seed."""
+def _section_opts(cls, cfg: dict, name: str, *validate_args):
+    """TrainOpts or DistillConfig from config section `name` plus the run seed, validated."""
     fields = {k: v for k, v in cfg[name].items() if k != "checkpoint_every"}
-    return cls(seed=cfg["seed"], **fields)
+    opts = cls(seed=cfg["seed"], **fields)
+    opts.validate(*validate_args)
+    return opts
 
 
 def _write_run_files(out: Path, cfg: dict, metrics: MetricsLog) -> None:
@@ -101,21 +99,22 @@ def _ckpt_hash(path: Path) -> str:
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = load_config(args.config, _config_overrides(args))
-    print(effective_json(cfg))
+    cfg = _run_config(args)
     out = _resolve(args.out)
     sched = make_schedule(**cfg["schedule"])
     dataset = _build_dataset(cfg)
     net = _build_net(cfg)
+    opts = _section_opts(TrainOpts, cfg, "teacher")
+    record = {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]}
+    net_record(out / "teacher.ckpt", net, cfg["schedule"], record)  # save_net's check, up front
+    print(effective_json(cfg))
     metrics = MetricsLog()
     every = cfg["teacher"]["checkpoint_every"]
-    record = {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]}
 
     def checkpoint_cb(step):
         save_net(out / f"teacher_step{step}.ckpt", net, sched, cfg["schedule"], record)
 
-    train_teacher(dataset, net, Encoder.identity(), sched,
-                  _section_opts(TrainOpts, cfg, "teacher"), metrics=metrics,
+    train_teacher(dataset, net, Encoder.identity(), sched, opts, metrics=metrics,
                   checkpoint_cb=checkpoint_cb, checkpoint_every=every)
     save_net(out / "teacher.ckpt", net, sched, cfg["schedule"], record)
     _write_run_files(out, cfg, metrics)
@@ -123,13 +122,13 @@ def cmd_train_teacher(args) -> int:
 
 
 def cmd_distill_lcm(args) -> int:
-    cfg = load_config(args.config, _config_overrides(args))
-    print(effective_json(cfg))
+    cfg = _run_config(args)
     out = _resolve(args.out)
     teacher, sched, meta = load_net(_resolve(args.teacher))
+    dcfg = _section_opts(DistillConfig, cfg, "distill", sched.N)
+    print(effective_json(cfg))
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
-    dcfg = _section_opts(DistillConfig, cfg, "distill")
     head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])
     metrics = MetricsLog()
     every = cfg["distill"]["checkpoint_every"]
@@ -146,15 +145,16 @@ def cmd_distill_lcm(args) -> int:
 
 
 def cmd_finetune_style(args) -> int:
-    cfg = load_config(args.config, _config_overrides(args))
-    print(effective_json(cfg))
+    cfg = _run_config(args)
     out = _resolve(args.out)
     teacher, sched, _meta = load_net(_resolve(args.teacher))
+    opts = _section_opts(TrainOpts, cfg, "style")
+    print(effective_json(cfg))
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
     metrics = MetricsLog()
-    bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched,
-                                 _section_opts(TrainOpts, cfg, "style"), metrics=metrics)
+    bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched, opts,
+                                 metrics=metrics)
     save_adapter(out / "style.ckpt", bundle, {"config": cfg})
     _write_run_files(out, cfg, metrics)
     return 0
@@ -169,8 +169,8 @@ def cmd_combine_lora(args) -> int:
     combined.provenance["parent_files"] = [str(style_path), str(accel_path)]
     out = _resolve(args.out)
     save_adapter(out, combined)
-    _echo({"command": "combine-lora", "lambda1": args.l1, "lambda2": args.l2,
-           "out": str(out), "parents": [str(style_path), str(accel_path)]})
+    print(effective_json({"command": "combine-lora", "lambda1": args.l1, "lambda2": args.l2,
+                          "out": str(out), "parents": [str(style_path), str(accel_path)]}))
     return 0
 
 
@@ -183,7 +183,7 @@ def cmd_merge_lora(args) -> int:
              {"sigma_data": meta["sigma_data"],
               "merged_from": {"base": str(args.base), "adapter": str(args.adapter),
                               "role": bundle.role, "provenance": bundle.provenance}})
-    _echo({"command": "merge-lora", "out": str(out), "role": bundle.role})
+    print(effective_json({"command": "merge-lora", "out": str(out), "role": bundle.role}))
     return 0
 
 
@@ -225,11 +225,13 @@ def cmd_sample(args) -> int:
         "lambdas": (bundle.provenance if bundle and bundle.role == "combined" else None),
     }
     write_samples(out, samples, cond, sidecar)
-    _echo({"command": "sample", **sidecar, "out": str(out)})
+    print(effective_json({"command": "sample", **sidecar, "out": str(out)}))
     return 0
 
 
 def cmd_eval(args) -> int:
+    if args.dataset == "rotated":
+        raise ValueError("--dataset rotated: give the base to --dataset, the angle to --angle-deg")
     samples, _cond = read_samples(_resolve(args.samples))
     count = len(samples) if args.count is None else args.count
     if not 1 <= count <= len(samples):
@@ -243,8 +245,8 @@ def cmd_eval(args) -> int:
         kind = args.dataset
     reference = make_dataset(kind, count, args.seed, **params)
     value = mmd2(samples[:count], reference.x)
-    _echo({"command": "eval", "mmd2": value, "count": count,
-           "dataset": kind, "params": params})
+    print(effective_json({"command": "eval", "mmd2": value, "count": count,
+                          "dataset": kind, "params": params}))
     return 0
 
 
@@ -256,18 +258,18 @@ def cmd_param_count(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Finite-difference check of the distillation loss over adapter factors."""
-    hidden = tuple(int(w) for w in args.hidden.split(",")) if args.hidden else (64, 64)
+    hidden = tuple(int(w) if w.strip().isdecimal() else 0 for w in args.hidden.split(","))
     if args.batch < 1:
         raise ValueError(f"--batch {args.batch} must be at least 1")
     if min(hidden) < 1:
-        raise ValueError(f"--hidden {args.hidden}: every width must be at least 1")
+        raise ValueError(f"--hidden {args.hidden!r}: every width must be an int of at least 1")
     tic = time.perf_counter()
     rel = distill_grad_check(args.seed, hidden, args.rank, args.batch, args.h)
     seconds = time.perf_counter() - tic
     n_params = count_trainable(attach(DenoiserNet(hidden=hidden), rank=args.rank, cap_rank=True))
-    _echo({"command": "gradcheck", "max_rel_err": rel, "parameters": n_params,
-           "hidden": list(hidden), "h": args.h, "seconds": round(seconds, 2),
-           "tolerance": args.tolerance, "pass": bool(rel < args.tolerance)})
+    print(effective_json({"command": "gradcheck", "max_rel_err": rel, "parameters": n_params,
+                          "hidden": list(hidden), "h": args.h, "seconds": round(seconds, 2),
+                          "tolerance": args.tolerance, "pass": bool(rel < args.tolerance)}))
     return 0 if rel < args.tolerance else 1
 
 
@@ -275,11 +277,9 @@ def cmd_gradcheck(args) -> int:
 # wiring
 
 
-def _config_overrides(args) -> dict:
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return overrides
+def _run_config(args) -> dict:
+    """A training command's effective config: --config's file, with --seed over it."""
+    return load_config(args.config, None if args.seed is None else {"seed": args.seed})
 
 
 def build_parser() -> argparse.ArgumentParser:

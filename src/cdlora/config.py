@@ -89,4 +89,5 @@ def load_config(source=None, overrides: dict | None = None) -> dict:
 
 
 def effective_json(cfg: dict) -> str:
+    """The JSON form every command echoes on stdout, a config or a result."""
     return json.dumps(cfg, indent=2, sort_keys=True)

@@ -12,7 +12,6 @@ identifiers that the adapter and checkpoint modules key off.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -93,6 +92,27 @@ def sinusoidal_table(x, dim: int) -> tuple:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rows
 
 
+def ints(low: int, step: int = 1):
+    """Test: an int of at least low that step divides (JSON true is no int)."""
+    return lambda value: type(value) is int and value >= low and value % step == 0
+
+
+def numbers(low: float = -math.inf, high: float = math.inf):
+    """Test: a number strictly between low and high, so never NaN or infinite."""
+    return lambda value: type(value) in (int, float) and low < value < high
+
+
+def list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) and all(test(item) for item in value)
+
+
+# one test per constructor argument bar the init stream; DenoiserNet applies
+# them, as persist does to a checkpoint's "arch"
+ARCH_RULES = {"data_dim": ints(1), "hidden": list_of(ints(1)), "time_dim": ints(2, step=2),
+              "guidance_dim": ints(2, step=2), "cond_dim": ints(1), "num_conditions": ints(1),
+              "omega_ref": numbers(0)}
+
+
 def architecture_fingerprint(named_shapes) -> str:
     """Stable hash of (layer name, shape) pairs for compatibility checks."""
     payload = json.dumps([[n, list(s)] for n, s in named_shapes], sort_keys=False)
@@ -104,7 +124,8 @@ def net_fingerprint(net: "DenoiserNet") -> str:
 
 
 class DenoiserNet:
-    """Small dense eps-prediction network over flat feature vectors."""
+    """Small dense eps-prediction network over flat feature vectors; the constructor
+    rejects arguments that break ARCH_RULES (even embedding dims: sin/cos halves)."""
 
     def __init__(
         self,
@@ -117,15 +138,18 @@ class DenoiserNet:
         omega_ref: float = 10.0,
         stream=None,
     ):
-        if time_dim % 2 or guidance_dim % 2:
-            raise ValueError("embedding dims must be even (sin/cos halves)")
         self.data_dim = data_dim
-        self.hidden = tuple(hidden)
+        self.hidden = hidden
         self.time_dim = time_dim
         self.guidance_dim = guidance_dim
         self.cond_dim = cond_dim
         self.num_conditions = num_conditions
         self.omega_ref = omega_ref
+        bad = [f"{name!r} {value!r}" for name, value in self.arch().items()
+               if not ARCH_RULES[name](value)]
+        if bad:
+            raise ValueError(f"bad architecture: {', '.join(bad)}")
+        self.hidden = tuple(hidden)
         self.null_id = num_conditions  # dedicated row, never a zero hack
         self.params: dict[str, Tensor] = {}
 
@@ -167,14 +191,9 @@ class DenoiserNet:
     def trainable_params(self) -> list[Tensor]:
         return [p for p in self.params.values() if p.requires_grad]
 
-    @classmethod
-    def arch_fields(cls) -> list[str]:
-        """Architecture fields: the constructor's parameters bar the init stream."""
-        return [name for name in inspect.signature(cls).parameters if name != "stream"]
-
     def arch(self) -> dict:
-        """Constructor arguments that rebuild this architecture."""
-        return {name: getattr(self, name) for name in self.arch_fields()}
+        """Constructor arguments that rebuild this architecture: ARCH_RULES' keys."""
+        return {name: getattr(self, name) for name in ARCH_RULES}
 
     def clone(self) -> "DenoiserNet":
         twin = DenoiserNet(**self.arch())

@@ -124,12 +124,10 @@ def attach(
         raise AdapterError(f"rank must be >= 1, got {rank}")
     if target_names is None:
         target_names = net.weight_matrix_names()
-    seen = set()
+    if len(set(target_names)) != len(target_names):
+        raise AdapterError(f"targets {target_names} name a layer twice")
     adapter = LoraAdapter(net_fingerprint(net))
     for name in target_names:
-        if name in seen:
-            raise AdapterError(f"layer {name!r} targeted twice")
-        seen.add(name)
         param = net.params.get(name)
         if param is None:
             raise AdapterError(f"unknown layer name {name!r}")
@@ -155,12 +153,7 @@ def attach(
 
 def count_trainable(adapter: LoraAdapter) -> int:
     """Trainable parameter count: sum over entries of rank * (d + k)."""
-    total = 0
-    for e in adapter.entries.values():
-        d_out, _ = e.b.shape
-        _, d_in = e.a.shape
-        total += e.rank * (d_out + d_in)
-    return total
+    return sum(e.a.data.size + e.b.data.size for e in adapter.entries.values())
 
 
 def merge(base: DenoiserNet, adapter: LoraAdapter) -> DenoiserNet:

@@ -4,23 +4,25 @@ A checkpoint is a directory holding manifest.json (format version, ordered
 tensor table with byte offsets, metadata, SHA-256 of the weight blob) and
 weights.bin (the tensors' float64 scalars, row-major, concatenated in
 manifest order). Loads verify the hash and the offset table before touching
-any tensor, and round-trip bit-identically. The manifest, the denoiser and
-adapter records and the tensors each record implies are declarative specs,
-checked by one walker, `_problems`.
+any tensor, and round-trip bit-identically. The manifest, the records and the
+tensors each record implies are declarative specs, checked by one walker,
+`_problems` (ARCH_RULES judge "arch", make_schedule "schedule"), when a
+checkpoint is saved as well as when it is loaded.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from cdlora.denoiser import SIGMA_DATA, DenoiserNet
+from cdlora.denoiser import ARCH_RULES, SIGMA_DATA, DenoiserNet, ints, list_of, numbers
 from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, check_fit
-from cdlora.schedule import NoiseSchedule, make_schedule
+from cdlora.schedule import NoiseSchedule, ScheduleError, make_schedule
 from cdlora.tensor import Tensor
 
 FORMAT_VERSION = 1
@@ -96,20 +98,6 @@ def _of(kind):
     return lambda value: isinstance(value, kind)
 
 
-def _ints(low: int, step: int = 1):
-    """Test: an int of at least low that step divides (JSON true is no int)."""
-    return lambda value: type(value) is int and value >= low and value % step == 0
-
-
-def _numbers(low: float = -math.inf, high: float = math.inf):
-    """Test: a number strictly between low and high, so never NaN or infinite."""
-    return lambda value: type(value) in (int, float) and low < value < high
-
-
-def _list_of(test):
-    return lambda value: isinstance(value, list) and all(test(item) for item in value)
-
-
 def _tensor_table(table):
     """Test for a manifest's tensor table, naming every bad entry: entries have
     distinct string names, shapes of non-negative ints and the float64 dtype,
@@ -123,38 +111,37 @@ def _tensor_table(table):
             problems.append(f"entry {i} is a JSON {type(entry).__name__}, not an object")
             continue
         name, shape, length = entry.get("name"), entry.get("shape"), entry.get("byte_length")
-        size = np.dtype(_DTYPE).itemsize * math.prod(shape) if _list_of(_ints(0))(shape) else None
+        size = np.dtype(_DTYPE).itemsize * math.prod(shape) if list_of(ints(0))(shape) else None
         bad = _problems(entry, {
             "name": lambda n: isinstance(n, str) and (
                 names.index(n) == i or f"repeats entry {names.index(n)}"),
-            "shape": _list_of(_ints(0)),
+            "shape": list_of(ints(0)),
             "dtype": lambda dtype: dtype == _DTYPE,
-            "byte_offset": lambda at: _ints(0)(at) and (
+            "byte_offset": lambda at: ints(0)(at) and (
                 at == end or f"{at}, but the entries before it end at {end}"),
-            "byte_length": lambda n: _ints(0)(n) and (
+            "byte_length": lambda n: ints(0)(n) and (
                 size in (None, n) or f"{n}, but shape {shape} takes {size}"),
         }, exact=True)
         if bad:
             label = f"entry {i} {name!r}" if isinstance(name, str) else f"entry {i}"
             problems.append(f"{label}: {', '.join(bad)}")
-        end += length if _ints(0)(length) else 0
+        end += length if ints(0)(length) else 0
     return "; ".join(problems) or True
 
 
 _MANIFEST = {"tensors": _tensor_table, "weights_sha256": _of(str), "metadata": _of(dict)}
 
+# DenoiserNet's rules judge "arch", and make_schedule judges the "schedule" values
 _DENOISER = {
     "kind": lambda kind: kind == "denoiser",
-    "arch": {"data_dim": _ints(1), "hidden": _list_of(_ints(1)), "time_dim": _ints(2, step=2),
-             "guidance_dim": _ints(2, step=2), "cond_dim": _ints(1), "num_conditions": _ints(1),
-             "omega_ref": _numbers(0)},
-    "schedule": {"N": _ints(2), "beta_min": _numbers(0, 1), "beta_max": _numbers(0, 1)},
-    "sigma_data": _numbers(0),
+    "arch": ARCH_RULES,
+    "schedule": dict.fromkeys(inspect.signature(make_schedule).parameters, lambda value: True),
+    "sigma_data": numbers(0),
 }
 
 _ADAPTER = {"kind": lambda kind: kind == "adapter", "role": _of(str), "provenance": _of(dict),
             "ranks": _of(dict), "scales": _of(dict), "base_fingerprint": _of(str),
-            "targets": lambda names: _list_of(_of(str))(names) and (
+            "targets": lambda names: list_of(_of(str))(names) and (
                 len(set(names)) == len(names) or f"{names} repeats a name")}
 
 
@@ -210,24 +197,38 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 # network and adapter checkpoints
 
 
+def _denoiser_schedule(path, meta: dict) -> NoiseSchedule:
+    """Check a denoiser record as load_net reads it (sigma_data defaults to
+    SIGMA_DATA) and return the schedule that make_schedule builds from it."""
+    what = f"{path} denoiser record"
+    _reject(what, _problems({"sigma_data": SIGMA_DATA, **meta}, _DENOISER))
+    try:
+        return make_schedule(**meta["schedule"])
+    except ScheduleError as err:
+        raise CheckpointError(f"{what}: 'schedule' entry for {err}") from err
+
+
+def net_record(path, net: DenoiserNet, sched_params: dict, extra: dict | None = None) -> dict:
+    """The record save_net writes for net at path, checked as load_net checks it."""
+    meta = {"kind": "denoiser", "arch": net.arch(), "schedule": dict(sched_params),
+            **(extra or {})}
+    _denoiser_schedule(path, meta)
+    return meta
+
+
 def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
              extra: dict | None = None) -> None:
-    meta = {"kind": "denoiser", "arch": net.arch(), "schedule": dict(sched_params)}
-    if extra:
-        meta.update(extra)
-    save_checkpoint(path, {n: p.data for n, p in net.params.items()}, meta)
+    """Write net as a denoiser checkpoint; a record load_net would reject is not written."""
+    save_checkpoint(path, {n: p.data for n, p in net.params.items()},
+                    net_record(path, net, sched_params, extra))
 
 
 def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
-    """Load a denoiser checkpoint: its record (sigma_data defaults to SIGMA_DATA),
-    with beta_min <= beta_max, is checked before the net is built, and its
-    tensors against the net's."""
+    """Load a denoiser checkpoint: its record (sigma_data defaults to SIGMA_DATA) is
+    checked by _denoiser_schedule before the net is built, and its tensors against the net's."""
     tensors, meta = load_checkpoint(path)
     meta.setdefault("sigma_data", SIGMA_DATA)
-    _reject(f"{path} denoiser record", _problems(meta, _DENOISER))
-    low = meta["schedule"]["beta_min"]
-    pair = {"beta_max": lambda high: high >= low or f"{high} is below 'beta_min' {low}"}
-    _reject(f"{path} denoiser record", _problems(meta["schedule"], pair, noun="'schedule' entry for "))
+    sched = _denoiser_schedule(path, meta)
     net = DenoiserNet(**meta["arch"])
     weights = {name: lambda arr, want=p.shape: arr.shape == want or (
                    f"has shape {arr.shape}, the architecture's is {want}")
@@ -235,10 +236,24 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
     _reject(f"{path} denoiser weights", _problems(tensors, weights, True, "tensor "))
     for name in net.params:
         net.params[name] = Tensor(tensors[name], requires_grad=True)
-    return net, make_schedule(**meta["schedule"]), meta
+    return net, sched, meta
+
+
+def _check_adapter(path, meta: dict, tensors: dict) -> None:
+    """The record, each target's rank, scale and two factors, and no other tensors."""
+    _reject(f"{path} adapter record", _problems(meta, _ADAPTER))
+    entries = {"ranks": dict.fromkeys(meta["targets"], ints(1)),
+               "scales": dict.fromkeys(meta["targets"], numbers())}
+    factors = {f"{name}.{factor}": lambda arr, rank=meta["ranks"].get(name), axis=axis: (
+                   (arr.ndim == 2 and arr.shape[axis] == rank)
+                   or f"has shape {arr.shape}, not rank {rank}")
+               for name in meta["targets"] for factor, axis in (("lora_A", 0), ("lora_B", 1))}
+    _reject(f"{path} adapter record",
+            _problems(meta, entries) + _problems(tensors, factors, True, "tensor "))
 
 
 def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None:
+    """Write an adapter checkpoint; a record load_adapter would reject is not written."""
     adapter = bundle.adapter
     meta = {
         "kind": "adapter",
@@ -255,25 +270,15 @@ def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None
     for name, e in adapter.entries.items():
         tensors[f"{name}.lora_A"] = e.a.data
         tensors[f"{name}.lora_B"] = e.b.data
+    _check_adapter(path, meta, tensors)
     save_checkpoint(path, tensors, meta)
 
 
 def load_adapter(path, base_net: DenoiserNet | None = None) -> AdapterBundle:
-    """Load an adapter bundle; verifies base pairing when a net is given.
-
-    The record, then each target's rank, scale and two factors, and the
-    absence of other tensors, are checked before any is used.
-    """
+    """Load an adapter bundle, checked as _check_adapter says before any
+    tensor is used; verifies base pairing when a net is given."""
     tensors, meta = load_checkpoint(path)
-    _reject(f"{path} adapter record", _problems(meta, _ADAPTER))
-    entries = {"ranks": dict.fromkeys(meta["targets"], _ints(1)),
-               "scales": dict.fromkeys(meta["targets"], _numbers())}
-    factors = {f"{name}.{factor}": lambda arr, rank=meta["ranks"].get(name), axis=axis: (
-                   (arr.ndim == 2 and arr.shape[axis] == rank)
-                   or f"has shape {arr.shape}, not rank {rank}")
-               for name in meta["targets"] for factor, axis in (("lora_A", 0), ("lora_B", 1))}
-    _reject(f"{path} adapter record",
-            _problems(meta, entries) + _problems(tensors, factors, True, "tensor "))
+    _check_adapter(path, meta, tensors)
     adapter = LoraAdapter(meta["base_fingerprint"])
     for name in meta["targets"]:
         adapter.entries[name] = LoraEntry(

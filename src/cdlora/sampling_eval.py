@@ -47,10 +47,7 @@ class StepSchedule:
         The bottom index stays above the boundary timestep so every
         evaluation of the consistency function does real work.
         """
-        if S < 1:
-            raise SamplingError(f"need S >= 1, got {S}")
         taus = [int(round(i * N / S)) for i in range(S, 0, -1)]
-        taus = [max(1, t) for t in taus]
         if len(set(taus)) != len(taus):
             raise SamplingError(f"S={S} steps collide on an N={N} grid")
         return cls(tuple(taus))
@@ -484,7 +481,9 @@ def write_samples(path, samples: np.ndarray, cond: np.ndarray, sidecar: dict) ->
 def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty: no header row")
         dim = len(header) - 1
         xs, cs = [], []
         for row in reader:

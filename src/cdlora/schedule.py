@@ -23,12 +23,10 @@ ALPHA_GUARD = 1e-6
 
 
 class NoiseSchedule:
+    """Schedule of a 1-D array of at least 2 betas in (0, 1), as make_schedule builds."""
+
     def __init__(self, beta: np.ndarray):
         beta = np.asarray(beta, dtype=np.float64)
-        if beta.ndim != 1 or beta.size < 2:
-            raise ScheduleError("schedule needs at least 2 timesteps")
-        if np.any(beta <= 0.0) or np.any(beta >= 1.0):
-            raise ScheduleError("beta values must lie in (0, 1)")
         self.beta = beta
         self.alpha_bar = np.cumprod(1.0 - beta)
         if self.alpha_bar[-1] <= 0.0 or self.alpha_bar[0] >= 1.0:
@@ -88,11 +86,15 @@ class NoiseSchedule:
 
 
 def make_schedule(N: int, beta_min: float = 1e-4, beta_max: float = 0.05) -> NoiseSchedule:
-    """Linear-beta discrete VP schedule over N timesteps."""
-    if N < 2:
-        raise ScheduleError(f"N={N} must be at least 2")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ScheduleError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
+    """Linear-beta discrete VP schedule over N timesteps. Its rules, each ScheduleError
+    naming the key: N an int >= 2, betas numbers in (0, 1), beta_min <= beta_max."""
+    if not isinstance(N, int) or N < 2:
+        raise ScheduleError(f"'N' {N!r} is not an int of at least 2")
+    for key, beta in (("beta_min", beta_min), ("beta_max", beta_max)):
+        if not isinstance(beta, (int, float)) or not 0.0 < beta < 1.0:
+            raise ScheduleError(f"{key!r} {beta!r} is not a number in (0, 1)")
+    if beta_max < beta_min:
+        raise ScheduleError(f"'beta_max' {beta_max} is below 'beta_min' {beta_min}")
     return NoiseSchedule(np.linspace(beta_min, beta_max, N))
 
 

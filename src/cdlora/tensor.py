@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-The engine is intentionally small: 2-D matmul, same-shape elementwise ops with
-scalar-by-tensor as the only broadcast, a handful of structured primitives the
-denoiser needs (bias rows, per-row scaling, embedding lookup, column concat),
-and a Wengert-list tape replayed in exact reverse execution order. No GPU, no
-general broadcasting, no views.
+The engine is intentionally small: 2-D matmul, same-shape elementwise ops
+with a Python number against a tensor as the only broadcast, a handful of
+structured primitives the denoiser needs (bias rows, per-row scaling,
+embedding lookup, column concat), and a Wengert-list tape replayed in exact
+reverse execution order. No GPU, no general broadcasting, no views.
 
 Each recorded primitive appends one node, (sources, bwd), and nothing else.
 A source says where the gradient of one input goes: the index of the node
@@ -256,75 +256,44 @@ def transpose(a: Tensor) -> Tensor:
     return _record(np.ascontiguousarray(a.data.T), (a,), bwd)
 
 
-def _scalar_operand(x) -> bool:
-    if isinstance(x, (int, float)):
-        return True
-    return isinstance(x, Tensor) and x.data.size == 1
-
-
 def _binary_shapes(a, b, name: str):
+    """add, sub and mul take two Tensors of one shape, or a Tensor and a Python number."""
     a_t = isinstance(a, Tensor)
     b_t = isinstance(b, Tensor)
     if not a_t and not b_t:
         raise ShapeError(f"{name} needs at least one tensor operand")
     if a_t and b_t and a.shape != b.shape:
-        if not (_scalar_operand(a) or _scalar_operand(b)):
-            raise ShapeError(
-                f"{name} shapes {a.shape} and {b.shape} differ and neither is scalar"
-            )
-    if (a_t and not b_t and not _scalar_operand(b)) or (b_t and not a_t and not _scalar_operand(a)):
-        raise ShapeError(f"{name} only broadcasts scalars against tensors")
+        raise ShapeError(f"{name} shapes {a.shape} and {b.shape} differ")
+    if not (a_t and b_t) and not isinstance(b if a_t else a, (int, float)):
+        raise ShapeError(f"{name} only broadcasts Python numbers against tensors")
 
 
 def _val(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _grad_shape(x) -> Optional[tuple]:
-    """x's shape if x is a Tensor that needs a gradient, else None."""
-    return x.data.shape if isinstance(x, Tensor) and x.requires_grad else None
-
-
-def _reduce_to(g: np.ndarray, shape: Optional[tuple]) -> Optional[np.ndarray]:
-    # gradient for a scalar operand collapses to its (possibly 0-d) shape
-    if shape is None:
-        return None
-    if shape == g.shape:
-        return g
-    return np.sum(g).reshape(shape)
-
-
 def add(a, b) -> Tensor:
     _binary_shapes(a, b, "add")
-    sa, sb = _grad_shape(a), _grad_shape(b)
-
-    def bwd(g):
-        return _reduce_to(g, sa), _reduce_to(g, sb)
-
-    return _record(_val(a) + _val(b), (a, b), bwd)
+    # backward drops the gradient of an operand that needs none
+    return _record(_val(a) + _val(b), (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     _binary_shapes(a, b, "sub")
-    sa, sb = _grad_shape(a), _grad_shape(b)
-
-    def bwd(g):
-        return _reduce_to(g, sa), None if sb is None else _reduce_to(-g, sb)
-
-    return _record(_val(a) - _val(b), (a, b), bwd)
+    gb = isinstance(b, Tensor) and b.requires_grad  # -g only for a b that needs it
+    return _record(_val(a) - _val(b), (a, b), lambda g: (g, -g if gb else None))
 
 
 def mul(a, b) -> Tensor:
     _binary_shapes(a, b, "mul")
     av, bv = _val(a), _val(b)
-    sa, sb = _grad_shape(a), _grad_shape(b)
     # each operand's values, kept only for the other operand's gradient
-    ka = None if sa is None else bv
-    kb = None if sb is None else av
+    ka = bv if isinstance(a, Tensor) and a.requires_grad else None
+    kb = av if isinstance(b, Tensor) and b.requires_grad else None
 
     def bwd(g):
-        return (None if ka is None else _reduce_to(g * ka, sa),
-                None if kb is None else _reduce_to(g * kb, sb))
+        return (None if ka is None else g * ka,
+                None if kb is None else g * kb)
 
     return _record(av * bv, (a, b), bwd)
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from cdlora.datasets import Dataset2D
-from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
+from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward, ints, numbers
 from cdlora.lora import AdapterBundle, AdapterError, LoraAdapter, attach, check_fit
 from cdlora.rng import substream
 from cdlora.schedule import NoiseSchedule, add_noise, make_schedule
@@ -35,20 +36,15 @@ class DivergenceError(ArithmeticError):
         self.step = step
 
 
-class _step_guard:
+@contextmanager
+def _step_guard(step: int):
     """Re-raise non-finite failures inside a training step as divergence."""
-
-    def __init__(self, step: int):
-        self.step = step
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and issubclass(exc_type, ArithmeticError) \
-                and not issubclass(exc_type, DivergenceError):
-            raise DivergenceError(self.step, exc) from exc
-        return False
+    try:
+        yield
+    except DivergenceError:
+        raise
+    except ArithmeticError as exc:
+        raise DivergenceError(step, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +60,19 @@ def lr_factor(schedule: str, step: int, total: int) -> float:
     raise ValueError(f"unknown lr schedule {schedule!r}")
 
 
+def _check_run(opts, batch: str, rate: str) -> None:
+    """The run rules TrainOpts and DistillConfig share (batch and rate name their batch-size and
+    learning-rate fields): steps an int >= 0, batch >= 1, a finite rate > 0, a known optimizer
+    and lr schedule."""
+    rules = {"steps": ints(0), batch: ints(1), rate: numbers(0)}
+    bad = [f"{name}={getattr(opts, name)!r}" for name, ok in rules.items()
+           if not ok(getattr(opts, name))]
+    if bad:
+        raise ValueError(f"bad run settings: {', '.join(bad)}")
+    make_optimizer(opts.optimizer, 1.0)
+    lr_factor(opts.lr_schedule, 1, 1)
+
+
 @dataclass
 class TrainOpts:
     """Plain diffusion-loss training options (teacher and style phases)."""
@@ -77,11 +86,10 @@ class TrainOpts:
     lr_schedule: str = "cosine"
 
     def validate(self):
+        """The shared run rules (_check_run), and p_uncond in [0, 1)."""
+        _check_run(self, "batch", "lr")
         if not (0.0 <= self.p_uncond < 1.0):
             raise ValueError(f"p_uncond {self.p_uncond} outside [0, 1)")
-        if self.steps < 0 or self.batch < 1 or self.lr <= 0.0:
-            raise ValueError("steps must be >= 0, batch >= 1, lr > 0")
-        lr_factor(self.lr_schedule, 1, 1)
 
 
 @dataclass
@@ -105,21 +113,23 @@ class DistillConfig:
     lr_schedule: str = "constant"
 
     def validate(self, N: int):
+        """The shared run rules (_check_run), then the distillation's own
+        against a schedule of N steps, huber_c > 0 among them."""
+        _check_run(self, "batch_size", "eta")
         if not (1 <= self.k <= N - 1):
             raise ValueError(f"skipping interval k={self.k} outside [1, {N - 1}]")
         if not (0.0 <= self.mu <= 1.0):
             raise ValueError(f"EMA rate mu={self.mu} outside [0, 1]")
         if self.omega_min > self.omega_max:
             raise ValueError(f"omega range [{self.omega_min}, {self.omega_max}] is empty")
-        if self.eta <= 0.0:
-            raise ValueError(f"learning rate eta={self.eta} must be positive")
+        if not numbers(0)(self.huber_c):
+            raise ValueError(f"pseudo-Huber constant huber_c={self.huber_c} must be positive")
         if self.guidance_mode not in ("fixed", "range"):
             raise ValueError(f"unknown guidance mode {self.guidance_mode!r}")
         if self.distance not in ("l2", "pseudo-huber"):
             raise ValueError(f"unknown distance {self.distance!r}")
         if self.solver not in SOLVER_KINDS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        lr_factor(self.lr_schedule, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +187,21 @@ class Sgd:
                 p.data = p.data - self.lr * p.grad
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
 
     def step(self, params):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        correct1 = 1.0 - b1 ** self.t
-        correct2 = 1.0 - b2 ** self.t
+        correct1 = 1.0 - ADAM_BETA1 ** self.t
+        correct2 = 1.0 - ADAM_BETA2 ** self.t
         for i, p in enumerate(params):
             if p.grad is None:
                 continue
@@ -200,10 +210,10 @@ class Adam:
                 m = np.zeros_like(p.data)
                 self.v[i] = np.zeros_like(p.data)
             v = self.v[i]
-            m = b1 * m + (1.0 - b1) * p.grad
-            v = b2 * v + (1.0 - b2) * p.grad * p.grad
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * p.grad
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * p.grad * p.grad
             self.m[i], self.v[i] = m, v
-            p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+            p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def make_optimizer(name: str, lr: float):
@@ -381,8 +391,6 @@ def train_teacher(dataset: Dataset2D, net: DenoiserNet, encoder: Encoder,
     """
     opts.validate()
     _check_data(dataset, net)
-    if opts.steps == 0:
-        return net
     net.set_trainable(True)
     _diffusion_train("teacher", net, net.trainable_params(), dataset, encoder, sched, opts,
                      metrics=metrics, checkpoint_cb=checkpoint_cb,
@@ -472,9 +480,8 @@ def finetune_style_lora(teacher: DenoiserNet, adapter: LoraAdapter, dataset: Dat
         if np.any(entry.b.data != 0.0):
             raise AdapterError("style fine-tuning expects a fresh adapter (B = 0)")
     teacher.set_trainable(False)
-    if opts.steps:
-        _diffusion_train("style", teacher, adapter.trainable_params(), dataset, encoder,
-                         sched, opts, adapter, metrics=metrics)
+    _diffusion_train("style", teacher, adapter.trainable_params(), dataset, encoder,
+                     sched, opts, adapter, metrics=metrics)
     return AdapterBundle(adapter=adapter, role="style", provenance={})
 
 

@@ -463,6 +463,83 @@ def test_more_conditions_than_the_net_fail_every_training_command(run_root, caps
     assert not (run_root / "r").exists()
 
 
+def _assert_refused(run_root, capsys, recwarn, argv, named):
+    """argv exits 1 with one error line naming the setting, before any output."""
+    capsys.readouterr()
+    assert main([*argv, "--out", "bad"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and named in err and "\n" not in err
+    assert not (run_root / "bad").exists()
+    assert len(recwarn) == 0
+
+
+# each setting writes a teacher that sample rejects, or trains nothing with a
+# setting no step could use
+@pytest.mark.parametrize("section,setting,named", [
+    ("net", {"cond_dim": 0}, "'cond_dim'"),
+    ("net", {"hidden": [0]}, "'hidden'"),
+    ("net", {"omega_ref": -1}, "'omega_ref'"),
+    ("net", {"omega_ref": 0}, "'omega_ref'"),
+    ("net", {"time_dim": 0}, "'time_dim'"),
+    ("net", {"sigma_data": -1}, "'sigma_data'"),
+    ("schedule", {"N": 10.5}, "'N'"),
+    ("teacher", {"optimizer": "adamw", "steps": 0}, "optimizer"),
+], ids=["cond_dim-0", "hidden-0", "omega_ref-negative", "omega_ref-0", "time_dim-0",
+        "sigma_data-negative", "float-N", "unknown-optimizer"])
+def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, recwarn, section,
+                                                              setting, named):
+    cfg = {**MINI_CONFIG, section: {**MINI_CONFIG[section], **setting}}
+    (run_root / "bad.json").write_text(json.dumps(cfg))
+    _assert_refused(run_root, capsys, recwarn,
+                    ["train-teacher", "--config", str(run_root / "bad.json")], named)
+
+
+@pytest.mark.parametrize("command,section,setting,named", [
+    ("distill-lcm", "distill", {"steps": -3}, "steps"),
+    ("distill-lcm", "distill", {"batch_size": 0}, "batch_size"),
+    ("distill-lcm", "distill", {"huber_c": 0}, "huber_c"),
+    ("finetune-style", "style", {"optimizer": "adamw", "steps": 0}, "optimizer"),
+], ids=["distill-negative-steps", "distill-batch-0", "distill-huber_c-0",
+        "style-unknown-optimizer"])
+def test_adapter_commands_refuse_a_bad_setting_before_any_step(run_root, teacher_ckpt, capsys,
+                                                               recwarn, command, section,
+                                                               setting, named):
+    cfg = {**MINI_CONFIG, section: {**MINI_CONFIG[section], **setting}}
+    (run_root / "bad.json").write_text(json.dumps(cfg))
+    _assert_refused(run_root, capsys, recwarn, [command, "--config", str(run_root / "bad.json"),
+                                                "--teacher", str(teacher_ckpt)], named)
+
+
+def test_eval_names_an_empty_samples_file(run_root, capsys):
+    (run_root / "empty.csv").write_text("")
+    assert main(["eval", "--samples", "empty.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "empty.csv" in err and "\n" not in err
+
+
+@pytest.mark.parametrize("angle", [[], ["--angle-deg", "30"]], ids=["no-angle", "angle"])
+def test_eval_refuses_rotated_as_the_dataset(run_root, capsys, angle):
+    write_samples(run_root / "eight.csv", np.zeros((8, 2)), np.zeros(8, dtype=np.int64), {})
+    assert main(["eval", "--samples", "eight.csv", "--dataset", "rotated", *angle]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --dataset rotated") and "--angle-deg" in err and "\n" not in err
+
+
+def test_gradcheck_refuses_empty_hidden(run_root, capsys, recwarn):
+    assert main(["gradcheck", "--hidden", "", "--rank", "2", "--batch", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --hidden") and "\n" not in err
+    assert len(recwarn) == 0
+
+
 def test_unknown_config_key_exits_one(run_root, capsys):
     (run_root / "bad.json").write_text(json.dumps({"distil": {"k": 5}}))
     code = main(["train-teacher", "--config", str(run_root / "bad.json"), "--out", "x"])

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 
 import cdlora.denoiser
 from cdlora.denoiser import (
+    ARCH_RULES,
     BLOCK_ROWS,
     ConsistencyHead,
     DenoiserNet,
@@ -40,6 +42,25 @@ def test_forward_deterministic_bitwise():
     a = net.forward(z, 7.5, 3, sched.t_of(30)).data
     b = net.forward(z, 7.5, 3, sched.t_of(30)).data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("data_dim", 2.0), ("hidden", (8, 0)), ("hidden", 8), ("time_dim", 7), ("guidance_dim", 0),
+    ("cond_dim", 0), ("num_conditions", True), ("omega_ref", 0.0), ("omega_ref", -1),
+    ("omega_ref", float("inf")),
+])
+def test_constructor_rejects_what_the_arch_rules_reject(arg, value):
+    # the rules persist.load_net applies to a checkpoint's "arch", with the same words
+    with pytest.raises(ValueError) as err:
+        DenoiserNet(**{arg: value})
+    assert str(err.value) == f"bad architecture: {arg!r} {value!r}"
+
+
+def test_arch_rules_cover_every_constructor_argument():
+    # arch() reads the rules' keys, so a clone or checkpoint keeps every argument
+    assert list(ARCH_RULES) == [n for n in inspect.signature(DenoiserNet).parameters
+                                if n != "stream"]
+    assert DenoiserNet(hidden=[8, 4]).arch()["hidden"] == (8, 4)
 
 
 def test_condition_validation():

@@ -258,10 +258,29 @@ def test_net_rejects_a_tensor_its_record_does_not_imply(tmp_path):
 
 @pytest.mark.parametrize("value", [-1, 0, "abc", float("nan"), float("inf"), True, None])
 def test_net_sigma_data_checked(tmp_path, value):
-    _small_net(tmp_path, {"sigma_data": value})
+    # save_net refuses the record, so the bad value goes into the manifest by hand
+    with pytest.raises(CheckpointError, match="'sigma_data'"):
+        _small_net(tmp_path, {"sigma_data": value})
+    assert not (tmp_path / "net.ckpt").exists()
+    _small_net(tmp_path)
+    _rewrite_manifest(tmp_path / "net.ckpt", lambda m: {
+        **m, "metadata": {**m["metadata"], "sigma_data": value}})
     with pytest.raises(CheckpointError) as err:
         load_net(tmp_path / "net.ckpt")
     assert str(err.value) == f"{tmp_path / 'net.ckpt'} denoiser record: bad 'sigma_data' {value!r}"
+
+
+def test_saves_refuse_records_that_loads_reject(tmp_path):
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2)
+    for params, named in [({"N": 10, "beta_min": 0.2, "beta_max": 0.05},
+                           "'schedule' entry for 'beta_max' 0.05 is below 'beta_min' 0.2"),
+                          ({"N": 10, "beta_min": 1e-4}, "missing 'schedule' entry for 'beta_max'")]:
+        with pytest.raises(CheckpointError, match=named):
+            save_net(tmp_path / "net.ckpt", net, make_schedule(10), params)
+    bundle = AdapterBundle(attach(net, rank=2, cap_rank=True), None, {})
+    with pytest.raises(CheckpointError, match="bad 'role' None"):
+        save_adapter(tmp_path / "a.ckpt", bundle)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_net_record_defaults_sigma_data_and_drops_the_fingerprint(tmp_path):

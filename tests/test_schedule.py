@@ -42,6 +42,21 @@ def test_parameter_validation():
         make_schedule(10, beta_max=1.0)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"N": 10.5}, "'N' 10.5 is not an int of at least 2"),
+    ({"N": 1}, "'N' 1 is not an int of at least 2"),
+    ({"N": True}, "'N' True is not an int of at least 2"),
+    ({"N": 10, "beta_min": "0.1"}, "'beta_min' '0.1' is not a number in (0, 1)"),
+    ({"N": 10, "beta_min": float("nan")}, "'beta_min' nan is not a number in (0, 1)"),
+    ({"N": 10, "beta_max": float("inf")}, "'beta_max' inf is not a number in (0, 1)"),
+    ({"N": 10, "beta_min": 0.2}, "'beta_max' 0.05 is below 'beta_min' 0.2"),
+], ids=["float-N", "N-1", "bool-N", "string-beta", "nan-beta", "infinite-beta", "betas-swapped"])
+def test_make_schedule_names_the_key_it_rejects(kwargs, message):
+    with pytest.raises(ScheduleError) as err:
+        make_schedule(**kwargs)
+    assert str(err.value) == message
+
+
 def test_add_noise_degenerate_cases():
     s = NoiseSchedule(np.array([0.1, 0.2]))
     z = np.array([[1.0, 0.0]])

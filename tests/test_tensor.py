@@ -20,6 +20,7 @@ from cdlora.tensor import (
     product,
     scale_rows,
     silu,
+    sqrt,
     square,
     stopgrad,
     sub,
@@ -314,6 +315,12 @@ def test_embed_rows_rejects_bad_ids():
     table = Tensor(np.zeros((3, 2)))
     with pytest.raises(IndexError):
         embed_rows(table, np.array([3]))
+
+
+def test_sqrt_gradient():
+    # the pseudo-Huber distance's only primitive that the l2 path never runs
+    x = Tensor(0.5 + substream(29, "test/sqrt").uniform(6), requires_grad=True)
+    assert grad_check(lambda: sum_all(sqrt(x)), [x], h=1e-5) < 1e-6
 
 
 def test_grad_check_simple_square():
