@@ -24,7 +24,7 @@ from cdlora.sampling_eval import (
     mmd2,
     moments_error,
 )
-from cdlora.schedule import NoiseSchedule, ScheduleError, add_noise, make_schedule
+from cdlora.schedule import NoiseSchedule, ScheduleError, add_noise, make_schedule, recover_x0
 from cdlora.solvers import GaussianOracle, cfg_target, ddim_increment, dpm2_increment, oracle_flow
 from cdlora.tensor import GradTape, NonFiniteError, ShapeError, TapeError, Tensor, grad_check
 from cdlora.training import (

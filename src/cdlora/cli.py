@@ -1,8 +1,8 @@
 """Command-line surface: train, distill, fine-tune, combine, merge, sample,
 evaluate, count parameters, and run the gradient self-check.
 
-Every command echoes its effective settings as JSON on stdout and writes its
-artifacts under --out (resolved against $CDLORA_RUN_ROOT when relative).
+Every command writes its artifacts under --out (resolved against $CDLORA_RUN_ROOT
+when relative), then echoes its effective settings as JSON on stdout.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
@@ -74,19 +74,19 @@ def _attach_adapter(net, cfg):
     )
 
 
-def _section_opts(cls, cfg: dict, name: str, *validate_args):
-    """TrainOpts or DistillConfig from config section `name` plus the run seed, validated."""
+def _section_opts(cls, cfg: dict, name: str):
+    """TrainOpts or DistillConfig from config section `name` plus the run seed."""
     fields = {k: v for k, v in cfg[name].items() if k != "checkpoint_every"}
-    opts = cls(seed=cfg["seed"], **fields)
-    opts.validate(*validate_args)
-    return opts
+    return cls(seed=cfg["seed"], **fields)
 
 
-def _write_run_files(out: Path, cfg: dict, metrics: MetricsLog) -> None:
+def _finish_run(out: Path, cfg: dict, metrics: MetricsLog) -> None:
+    """Write the run files, then echo the config: a failed run leaves stdout empty."""
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "effective_config.json", "w") as fh:
         fh.write(effective_json(cfg) + "\n")
     metrics.write(out / "metrics.csv")
+    print(effective_json(cfg))
 
 
 def _ckpt_hash(path: Path) -> str:
@@ -107,17 +107,15 @@ def cmd_train_teacher(args) -> int:
     opts = _section_opts(TrainOpts, cfg, "teacher")
     record = {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]}
     net_record(out / "teacher.ckpt", net, cfg["schedule"], record)  # save_net's check, up front
-    print(effective_json(cfg))
     metrics = MetricsLog()
-    every = cfg["teacher"]["checkpoint_every"]
 
     def checkpoint_cb(step):
         save_net(out / f"teacher_step{step}.ckpt", net, sched, cfg["schedule"], record)
 
     train_teacher(dataset, net, Encoder.identity(), sched, opts, metrics=metrics,
-                  checkpoint_cb=checkpoint_cb, checkpoint_every=every)
+                  checkpoint_cb=checkpoint_cb, checkpoint_every=cfg["teacher"]["checkpoint_every"])
     save_net(out / "teacher.ckpt", net, sched, cfg["schedule"], record)
-    _write_run_files(out, cfg, metrics)
+    _finish_run(out, cfg, metrics)
     return 0
 
 
@@ -125,22 +123,20 @@ def cmd_distill_lcm(args) -> int:
     cfg = _run_config(args)
     out = _resolve(args.out)
     teacher, sched, meta = load_net(_resolve(args.teacher))
-    dcfg = _section_opts(DistillConfig, cfg, "distill", sched.N)
-    print(effective_json(cfg))
+    dcfg = _section_opts(DistillConfig, cfg, "distill")
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
     head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])
     metrics = MetricsLog()
-    every = cfg["distill"]["checkpoint_every"]
 
     def checkpoint_cb(step):
         save_adapter(out / f"acceleration_step{step}.ckpt", acceleration_bundle(adapter, dcfg))
 
     bundle = lcd_distill(teacher, adapter, dataset, Encoder.identity(), sched, dcfg,
                          head=head, metrics=metrics, checkpoint_cb=checkpoint_cb,
-                         checkpoint_every=every)
+                         checkpoint_every=cfg["distill"]["checkpoint_every"])
     save_adapter(out / "acceleration.ckpt", bundle, {"config": cfg})
-    _write_run_files(out, cfg, metrics)
+    _finish_run(out, cfg, metrics)
     return 0
 
 
@@ -149,14 +145,13 @@ def cmd_finetune_style(args) -> int:
     out = _resolve(args.out)
     teacher, sched, _meta = load_net(_resolve(args.teacher))
     opts = _section_opts(TrainOpts, cfg, "style")
-    print(effective_json(cfg))
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
     metrics = MetricsLog()
     bundle = finetune_style_lora(teacher, adapter, dataset, Encoder.identity(), sched, opts,
                                  metrics=metrics)
     save_adapter(out / "style.ckpt", bundle, {"config": cfg})
-    _write_run_files(out, cfg, metrics)
+    _finish_run(out, cfg, metrics)
     return 0
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdlora.schedule import ALPHA_GUARD, NoiseSchedule, ScheduleError
+from cdlora.schedule import NoiseSchedule
 from cdlora.tensor import (
     NonFiniteError,
     Tensor,
@@ -367,8 +367,6 @@ def consistency_forward(
     m = z.shape[0]
     n_arr = np.broadcast_to(np.asarray(n, dtype=np.int64), (m,))
     alpha = sched.alpha(n_arr)
-    if np.any(alpha < ALPHA_GUARD):
-        raise ScheduleError(f"alpha(t_n) below {ALPHA_GUARD}: schedule too degenerate to invert")
     sigma = sched.sigma(n_arr)
     t = sched.t_of(n_arr)
 

@@ -17,8 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from cdlora.denoiser import DenoiserNet, net_fingerprint
+from cdlora.denoiser import DenoiserNet, net_fingerprint, numbers
 from cdlora.tensor import Tensor
+
+SCALE_RULE = numbers()  # an entry's scale; attach and persist's adapter record apply it
 
 
 class AdapterError(ValueError):
@@ -122,6 +124,8 @@ def attach(
     """
     if rank < 1:
         raise AdapterError(f"rank must be >= 1, got {rank}")
+    if not SCALE_RULE(scale):
+        raise AdapterError(f"scale {scale!r} is not a finite number")
     if target_names is None:
         target_names = net.weight_matrix_names()
     if len(set(target_names)) != len(target_names):

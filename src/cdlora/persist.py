@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from cdlora.denoiser import ARCH_RULES, SIGMA_DATA, DenoiserNet, ints, list_of, numbers
-from cdlora.lora import AdapterBundle, LoraAdapter, LoraEntry, check_fit
+from cdlora.lora import SCALE_RULE, AdapterBundle, LoraAdapter, LoraEntry, check_fit
 from cdlora.schedule import NoiseSchedule, ScheduleError, make_schedule
 from cdlora.tensor import Tensor
 
@@ -243,7 +243,7 @@ def _check_adapter(path, meta: dict, tensors: dict) -> None:
     """The record, each target's rank, scale and two factors, and no other tensors."""
     _reject(f"{path} adapter record", _problems(meta, _ADAPTER))
     entries = {"ranks": dict.fromkeys(meta["targets"], ints(1)),
-               "scales": dict.fromkeys(meta["targets"], numbers())}
+               "scales": dict.fromkeys(meta["targets"], SCALE_RULE)}
     factors = {f"{name}.{factor}": lambda arr, rank=meta["ranks"].get(name), axis=axis: (
                    (arr.ndim == 2 and arr.shape[axis] == rank)
                    or f"has shape {arr.shape}, not rank {rank}")

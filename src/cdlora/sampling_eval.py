@@ -13,7 +13,7 @@ import numpy as np
 
 from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward
 from cdlora.rng import substream
-from cdlora.schedule import NoiseSchedule
+from cdlora.schedule import NoiseSchedule, add_noise, recover_x0
 from cdlora.solvers import cfg_target, guidance_scales
 
 
@@ -81,7 +81,6 @@ def lcm_multistep_sample(
     stream = substream(seed, "sample/lcm")
     z = stream.normal((count, data_dim))
     cond_arr = np.broadcast_to(np.asarray(cond, dtype=np.int64), (count,))
-    x0 = None
     for i, tau in enumerate(steps.indices):
         if f_fn is not None:
             x0 = np.asarray(f_fn(z, tau), dtype=np.float64)
@@ -90,7 +89,7 @@ def lcm_multistep_sample(
         if i + 1 < steps.S:
             tau_next = steps.indices[i + 1]
             fresh = stream.normal((count, data_dim))
-            z = sched.alpha(tau_next) * x0 + sched.sigma(tau_next) * fresh
+            z = add_noise(x0, tau_next, fresh, sched)
     return x0
 
 
@@ -106,8 +105,9 @@ def ddim_sample(
 ) -> np.ndarray:
     """Many-step guided baseline: compose solver targets from noise down to t_1.
 
-    The grid spans [1, N] inclusive, so S may not exceed N; the returned batch
-    is the guided x0 extraction at the final timestep.
+    The grid is linspace(1, N, S + 1) rounded, repeats dropped, so S may not exceed N;
+    at S = N two points round to one index and the run takes N - 1 jumps, as S = N - 1
+    does. The returned batch is the guided x0 extraction at the final timestep.
     """
     if not 1 <= S <= sched.N:
         raise SamplingError(f"DDIM steps {S} outside [1, N={sched.N}], the schedule's grid")
@@ -132,7 +132,7 @@ def ddim_sample(
         eps_c = eps_c + omega_arr[:, None] * (eps_c - eps_u)
     else:
         eps_c = eps_fn(z, np.full(count, t_last), cond_arr)
-    return (z - sched.sigma(n_last) * eps_c) / sched.alpha(n_last)
+    return recover_x0(z, n_last, eps_c, sched)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ class ScheduleError(ValueError):
     """Invalid schedule parameters or out-of-range timestep queries."""
 
 
-# smallest alpha(t) that x0 = (z - sigma * eps) / alpha may divide by
+# smallest alpha(t_N) a schedule may have: recover_x0 divides by alpha(t_n)
 ALPHA_GUARD = 1e-6
 
 
@@ -29,9 +29,13 @@ class NoiseSchedule:
         beta = np.asarray(beta, dtype=np.float64)
         self.beta = beta
         self.alpha_bar = np.cumprod(1.0 - beta)
-        if self.alpha_bar[-1] <= 0.0 or self.alpha_bar[0] >= 1.0:
+        if self.alpha_bar[0] >= 1.0:
             raise ScheduleError("degenerate alpha_bar range")
         self._alpha = np.sqrt(self.alpha_bar)
+        # alpha falls with n, and the solvers' off-grid alphas lie between grid values
+        if self._alpha[-1] < ALPHA_GUARD:
+            raise ScheduleError(f"'N' {beta.size} with 'beta_min' {beta[0]} and 'beta_max' "
+                                f"{beta[-1]} takes alpha(t_N) below {ALPHA_GUARD}")
         self._sigma = np.sqrt(1.0 - self.alpha_bar)
         self._t = np.arange(1, beta.size + 1, dtype=np.float64) / beta.size
         self._lam = np.log(self._alpha / self._sigma)
@@ -98,19 +102,28 @@ def make_schedule(N: int, beta_min: float = 1e-4, beta_max: float = 0.05) -> Noi
     return NoiseSchedule(np.linspace(beta_min, beta_max, N))
 
 
-def add_noise(z: np.ndarray, n, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Forward perturbation alpha(t_n) * z + sigma(t_n) * eps.
-
-    n may be a single index or one index per row of z.
-    """
+def _coefficients(z, n, eps, sched: NoiseSchedule) -> tuple:
+    """z and eps as float64 arrays of one shape, with alpha(t_n) and sigma(t_n) as
+    scalars for one index n, or as columns for one index per row of z."""
     z = np.asarray(z, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if z.shape != eps.shape:
         raise ScheduleError(f"z shape {z.shape} and eps shape {eps.shape} differ")
-    a = sched.alpha(n)
-    s = sched.sigma(n)
+    a, s = sched.alpha(n), sched.sigma(n)
     if np.ndim(a) == 1 and z.ndim == 2:
         if a.shape[0] != z.shape[0]:
             raise ScheduleError("per-row timestep count does not match the batch")
-        return a[:, None] * z + s[:, None] * eps
+        return z, eps, a[:, None], s[:, None]
+    return z, eps, a, s
+
+
+def add_noise(z: np.ndarray, n, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """Forward perturbation alpha(t_n) * z + sigma(t_n) * eps; n is one index or one per row."""
+    z, eps, a, s = _coefficients(z, n, eps, sched)
     return a * z + s * eps
+
+
+def recover_x0(z: np.ndarray, n, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """add_noise inverted for x0: (z - sigma(t_n) * eps) / alpha(t_n), n as in add_noise."""
+    z, eps, a, s = _coefficients(z, n, eps, sched)
+    return (z - s * eps) / a

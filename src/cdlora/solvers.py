@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdlora.schedule import ALPHA_GUARD, NoiseSchedule, ScheduleError
+from cdlora.schedule import NoiseSchedule, ScheduleError, add_noise, recover_x0
 
 SOLVER_KINDS = ("ddim", "dpm2", "ddim-multi")
 
@@ -39,22 +39,11 @@ def _as_rows(z, n_hi, n_lo):
 
 
 def ddim_increment(z, n_hi, n_lo, eps_hat, sched: NoiseSchedule) -> np.ndarray:
-    """First-order increment: alpha_lo * x0_hat + sigma_lo * eps_hat - z.
-
-    x0_hat = (z - sigma_hi * eps_hat) / alpha_hi.
-    """
+    """First-order increment: x0_hat = recover_x0(z, n_hi, eps_hat) noised to
+    n_lo with the same eps_hat, minus z."""
     z, hi, lo = _as_rows(z, n_hi, n_lo)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if eps_hat.shape != z.shape:
-        raise ScheduleError(f"eps shape {eps_hat.shape} does not match z {z.shape}")
-    a_hi = sched.alpha(hi)
-    if np.any(a_hi < ALPHA_GUARD):
-        raise ScheduleError(f"alpha(t_hi) below {ALPHA_GUARD}: x0 recovery is singular")
-    x0 = (z - sched.sigma(hi)[:, None] * eps_hat) / a_hi[:, None]
-    out = sched.alpha(lo)[:, None] * x0 + sched.sigma(lo)[:, None] * eps_hat - z
-    same = hi == lo
-    if np.any(same):
-        out[same] = 0.0
+    out = add_noise(recover_x0(z, hi, eps_hat, sched), lo, eps_hat, sched) - z
+    out[hi == lo] = 0.0
     return out
 
 
@@ -67,8 +56,6 @@ def dpm2_increment(z, n_hi, n_lo, eps_fn, sched: NoiseSchedule) -> np.ndarray:
     """
     z, hi, lo = _as_rows(z, n_hi, n_lo)
     a_hi = sched.alpha(hi)
-    if np.any(a_hi < ALPHA_GUARD):
-        raise ScheduleError(f"alpha(t_hi) below {ALPHA_GUARD}: x0 recovery is singular")
     lam_hi = sched.log_snr(hi)
     lam_lo = sched.log_snr(lo)
     h = lam_lo - lam_hi
@@ -82,9 +69,7 @@ def dpm2_increment(z, n_hi, n_lo, eps_fn, sched: NoiseSchedule) -> np.ndarray:
     eps_mid = np.asarray(eps_fn(z_mid, t_mid), dtype=np.float64)
     z_lo = (a_lo / a_hi)[:, None] * z - (s_lo * np.expm1(h))[:, None] * eps_mid
     out = z_lo - z
-    same = hi == lo
-    if np.any(same):
-        out[same] = 0.0
+    out[hi == lo] = 0.0
     return out
 
 

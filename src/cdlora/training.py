@@ -114,8 +114,11 @@ class DistillConfig:
 
     def validate(self, N: int):
         """The shared run rules (_check_run), then the distillation's own
-        against a schedule of N steps, huber_c > 0 among them."""
+        against a schedule of N steps: guidance scales finite and >= 0, huber_c > 0."""
         _check_run(self, "batch_size", "eta")
+        for key in ("omega_fixed", "omega_min", "omega_max"):
+            if not (numbers()(value := getattr(self, key)) and value >= 0.0):
+                raise ValueError(f"guidance scale {key}={value!r} is not a finite number >= 0")
         if not (1 <= self.k <= N - 1):
             raise ValueError(f"skipping interval k={self.k} outside [1, {N - 1}]")
         if not (0.0 <= self.mu <= 1.0):
@@ -328,6 +331,8 @@ def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str
     after_step() runs. A step's wall_ms spans draw to after_step; the
     checkpoint falls outside it.
     """
+    if not ints(0)(checkpoint_every):
+        raise ValueError(f"checkpoint_every {checkpoint_every!r} is not an int of at least 0")
     opt = make_optimizer(optimizer, lr)
     for step in range(1, steps + 1):
         tic = time.perf_counter()

@@ -356,6 +356,7 @@ def _rename_tensor(old, new):
     (_set_meta("schedule", "N", value=10.5), "'N'"),
     (_set_meta("schedule", "beta_max", value=float("inf")), "'beta_max'"),
     (_set_meta("schedule", "beta_min", value=0.2), "'beta_max' 0.05 is below 'beta_min' 0.2"),
+    (_set_meta("schedule", "N", value=2000), "'N' 2000 with 'beta_min' 0.0001"),
     (_set_meta("arch", "cond_dim", value="8"), "'cond_dim'"),
     (_set_meta("arch", "hidden", value=[8, -1]), "'hidden'"),
     (_set_meta("arch", "omega_ref", value=float("inf")), "'omega_ref'"),
@@ -365,7 +366,8 @@ def _rename_tensor(old, new):
     (_rename_tensor("layer0.bias", "layer0.weight"), "'layer0.weight': 'name' repeats entry"),
     (_rename_tensor("layer0.bias", "extra"), "unexpected tensor 'extra'"),
 ], ids=["list", "no-hash", "no-omega_ref", "transposed-weight", "metadata-list", "no-schedule",
-        "schedule-list", "float-N", "infinite-beta", "betas-swapped", "string-dim", "negative-width",
+        "schedule-list", "float-N", "infinite-beta", "betas-swapped", "alpha-below-guard",
+        "string-dim", "negative-width",
         "infinite-omega_ref", "negative-sigma_data", "string-sigma_data", "repeated-name",
         "stray-tensor"])
 def test_sample_rejects_corrupt_manifest(run_root, capsys, corrupt, named):
@@ -451,8 +453,9 @@ def test_more_conditions_than_the_net_fail_every_training_command(run_root, caps
                 ["finetune-style", "--teacher", teacher]):
         capsys.readouterr()
         assert main([*cmd, "--config", str(run_root / "ring.json"), "--out", "r"]) == 1, cmd
-        err = capsys.readouterr().err.strip()
-        assert err == "error: dataset has 8 conditions, net allows 7", cmd
+        captured = capsys.readouterr()
+        assert captured.out == "", cmd
+        assert captured.err.strip() == "error: dataset has 8 conditions, net allows 7", cmd
         assert not (run_root / "r").exists(), cmd
     (run_root / "k60.json").write_text(json.dumps(
         {**seven, "dataset": {"kind": "checkerboard", "count": 64}, "distill": {"k": 60}}))
@@ -485,9 +488,13 @@ def _assert_refused(run_root, capsys, recwarn, argv, named):
     ("net", {"time_dim": 0}, "'time_dim'"),
     ("net", {"sigma_data": -1}, "'sigma_data'"),
     ("schedule", {"N": 10.5}, "'N'"),
+    ("schedule", {"N": 2000}, "'N' 2000"),
     ("teacher", {"optimizer": "adamw", "steps": 0}, "optimizer"),
+    ("teacher", {"checkpoint_every": 2.5}, "checkpoint_every"),
+    ("teacher", {"checkpoint_every": -5}, "checkpoint_every"),
 ], ids=["cond_dim-0", "hidden-0", "omega_ref-negative", "omega_ref-0", "time_dim-0",
-        "sigma_data-negative", "float-N", "unknown-optimizer"])
+        "sigma_data-negative", "float-N", "N-2000", "unknown-optimizer", "checkpoint_every-float",
+        "checkpoint_every-negative"])
 def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, recwarn, section,
                                                               setting, named):
     cfg = {**MINI_CONFIG, section: {**MINI_CONFIG[section], **setting}}
@@ -501,8 +508,27 @@ def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, r
     ("distill-lcm", "distill", {"batch_size": 0}, "batch_size"),
     ("distill-lcm", "distill", {"huber_c": 0}, "huber_c"),
     ("finetune-style", "style", {"optimizer": "adamw", "steps": 0}, "optimizer"),
+    ("distill-lcm", "distill", {"checkpoint_every": 2.5}, "checkpoint_every"),
+    ("distill-lcm", "distill", {"omega_fixed": -1}, "omega_fixed"),
+    ("distill-lcm", "distill", {"guidance_mode": "range", "omega_min": -3}, "omega_min"),
+    ("distill-lcm", "distill", {"omega_max": float("inf")}, "omega_max"),
+    ("distill-lcm", "lora", {"scale": "x"}, "scale"),
+    ("finetune-style", "lora", {"scale": "x"}, "scale"),
+    # each of these fails after set-up has begun, and must still leave stdout empty
+    ("distill-lcm", "dataset", {"count": 0}, "empty dataset"),
+    ("finetune-style", "dataset", {"count": 0}, "empty dataset"),
+    ("distill-lcm", "dataset", {"kind": "nope"}, "'nope'"),
+    ("finetune-style", "dataset", {"kind": "nope"}, "'nope'"),
+    ("distill-lcm", "lora", {"rank": 0}, "rank"),
+    ("finetune-style", "lora", {"rank": 0}, "rank"),
+    ("distill-lcm", "lora", {"targets": ["bogus"]}, "'bogus'"),
+    ("finetune-style", "lora", {"targets": ["bogus"]}, "'bogus'"),
 ], ids=["distill-negative-steps", "distill-batch-0", "distill-huber_c-0",
-        "style-unknown-optimizer"])
+        "style-unknown-optimizer", "distill-checkpoint_every-float", "distill-omega_fixed-negative",
+        "distill-omega_min-negative", "distill-omega_max-infinite", "distill-scale-string",
+        "style-scale-string", "distill-count-0", "style-count-0", "distill-unknown-kind",
+        "style-unknown-kind", "distill-rank-0", "style-rank-0", "distill-unknown-target",
+        "style-unknown-target"])
 def test_adapter_commands_refuse_a_bad_setting_before_any_step(run_root, teacher_ckpt, capsys,
                                                                recwarn, command, section,
                                                                setting, named):

@@ -82,6 +82,12 @@ def test_attach_errors():
         attach(net, rank=0, stream=stream)
 
 
+@pytest.mark.parametrize("scale", ["x", None, True, float("nan"), float("inf")])
+def test_attach_refuses_a_scale_the_adapter_record_refuses(scale):
+    with pytest.raises(AdapterError, match="scale"):
+        attach(make_net(), rank=2, scale=scale, stream=substream(1, "s"))
+
+
 def test_attach_freezes_base():
     net = make_net()
     attach(net, rank=2, stream=substream(2, "s"))

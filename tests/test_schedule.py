@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from cdlora.rng import substream
-from cdlora.schedule import NoiseSchedule, ScheduleError, add_noise, make_schedule
+from cdlora.schedule import (
+    ALPHA_GUARD,
+    NoiseSchedule,
+    ScheduleError,
+    add_noise,
+    make_schedule,
+    recover_x0,
+)
 
 
 def test_two_step_cumulative_product():
@@ -50,11 +57,30 @@ def test_parameter_validation():
     ({"N": 10, "beta_min": float("nan")}, "'beta_min' nan is not a number in (0, 1)"),
     ({"N": 10, "beta_max": float("inf")}, "'beta_max' inf is not a number in (0, 1)"),
     ({"N": 10, "beta_min": 0.2}, "'beta_max' 0.05 is below 'beta_min' 0.2"),
-], ids=["float-N", "N-1", "bool-N", "string-beta", "nan-beta", "infinite-beta", "betas-swapped"])
+    ({"N": 1500}, "'N' 1500 with 'beta_min' 0.0001 and 'beta_max' 0.05 takes alpha(t_N) "
+                  "below 1e-06"),
+], ids=["float-N", "N-1", "bool-N", "string-beta", "nan-beta", "infinite-beta", "betas-swapped",
+        "alpha-below-guard"])
 def test_make_schedule_names_the_key_it_rejects(kwargs, message):
     with pytest.raises(ScheduleError) as err:
         make_schedule(**kwargs)
     assert str(err.value) == message
+
+
+def test_alpha_guard_boundary_with_default_betas():
+    # alpha(t_N) is about 2.9e-6 at N = 1000 and about 5e-9 at N = 1500
+    assert make_schedule(1000).alpha(1000) >= ALPHA_GUARD
+    with pytest.raises(ScheduleError):
+        make_schedule(1500)
+
+
+@pytest.mark.parametrize("n", [37, np.array([1, 12, 50, 25, 50])], ids=["scalar", "per-row"])
+def test_recover_x0_inverts_add_noise(n):
+    s = make_schedule(50, beta_max=0.25)
+    stream = substream(5, "test/recover")
+    x, eps = stream.normal((5, 2)), stream.normal((5, 2))
+    np.testing.assert_allclose(recover_x0(add_noise(x, n, eps, s), n, eps, s), x,
+                               rtol=0, atol=1e-12)
 
 
 def test_add_noise_degenerate_cases():

@@ -141,6 +141,34 @@ def test_lr_schedule_defaults():
     assert DistillConfig().lr_schedule == "constant"
 
 
+@pytest.mark.parametrize("every", [2.5, -5, True])
+@pytest.mark.parametrize("phase", ["teacher", "distill"])
+def test_checkpoint_every_is_an_int_of_at_least_0(phase, every):
+    sched = make_schedule(50)
+    net = fresh_net(hidden=(8,))
+    saved, metrics = [], MetricsLog()
+    hooks = dict(metrics=metrics, checkpoint_cb=saved.append, checkpoint_every=every)
+    with pytest.raises(ValueError, match="^checkpoint_every"):
+        if phase == "teacher":
+            train_teacher(ring8(64, 3), net, Encoder.identity(), sched,
+                          TrainOpts(steps=10, batch=8), **hooks)
+        else:
+            adapter = attach(net, rank=2, stream=substream(17, "lora"), cap_rank=True)
+            lcd_distill(net, adapter, ring8(64, 3), Encoder.identity(), sched,
+                        DistillConfig(steps=10, batch_size=8), **hooks)
+    assert saved == [] and metrics.rows == []
+
+
+@pytest.mark.parametrize("setting", [{"omega_fixed": -1.0}, {"omega_min": -3.0},
+                                     {"omega_max": float("nan")}, {"omega_fixed": "7.5"}],
+                         ids=["omega_fixed-negative", "omega_min-negative", "omega_max-nan",
+                              "omega_fixed-string"])
+def test_distill_config_checks_guidance_scales(setting):
+    key = next(iter(setting))
+    with pytest.raises(ValueError, match=f"^guidance scale {key}="):
+        DistillConfig(guidance_mode="range", **setting).validate(50)
+
+
 def test_empty_dataset_rejected():
     sched = make_schedule(50)
     ds = ring8(0, 1)

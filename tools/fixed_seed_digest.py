@@ -2,15 +2,18 @@
 
 Trains a teacher on ring8, distills an acceleration adapter, fine-tunes a
 style adapter on ring8 rotated by 22.5 degrees, combines the two adapters and
-merges the result into the teacher, then samples and scores. Every result's
+merges the result into the teacher, then samples and scores. Two short
+distillations with the "dpm2" and "ddim-multi" solvers cover the solver
+increments that the main distillation's "ddim" does not run. Every result's
 float64 bytes are hashed with SHA-256 and the first 16 hex digits printed, one
 row per result. Two source trees that print the same table computed the same
 bits; a row that differs names where they part.
 
 Settings: ring8 with 1,024 points, seed 3, N = 50, beta_max 0.25, hidden
-(32, 32), rank 2; 300 teacher, 200 distillation and 200 style steps;
-1,000 samples per sampler. A last row hashes the distillation grad check at
-the seeds in GRAD_CHECK_SEEDS. It takes about 3 s on one core.
+(32, 32), rank 2; 300 teacher, 200 distillation and 200 style steps, and
+SOLVER_STEPS distillation steps per other solver; 1,000 samples per sampler.
+A last row hashes the distillation grad check at the seeds in
+GRAD_CHECK_SEEDS. It takes about 3 s on one core.
 
 Run from the repository root, against the tree under test:
 
@@ -54,6 +57,8 @@ OMEGA = 7.5
 # each checked as the benchmark checks it: hidden (16, 16), rank 2, batch 4,
 # h = 1e-5
 GRAD_CHECK_SEEDS = (7, 98, 141)
+# distillation steps of each row that runs a solver other than "ddim"
+SOLVER_STEPS = 20
 
 
 def digest(*arrays) -> str:
@@ -84,6 +89,13 @@ def main() -> None:
     distill_log = MetricsLog()
     accel = lcd_distill(teacher, fresh_adapter(), data, enc, sched,
                         DistillConfig(steps=200, seed=SEED), metrics=distill_log)
+    solver_rows = []
+    for solver in ("dpm2", "ddim-multi"):
+        log = MetricsLog()
+        bundle = lcd_distill(teacher, fresh_adapter(), data, enc, sched,
+                             DistillConfig(steps=SOLVER_STEPS, seed=SEED, solver=solver),
+                             metrics=log)
+        solver_rows.append((f"distill, {solver}", digest(log.losses(), *factors(bundle.adapter))))
     style_log = MetricsLog()
     style = finetune_style_lora(teacher, fresh_adapter(), styled, enc, sched,
                                 TrainOpts(steps=200, seed=SEED), metrics=style_log)
@@ -108,6 +120,7 @@ def main() -> None:
         ("style loss", digest(style_log.losses())),
         ("teacher weights", digest(*(p.data for p in teacher.params.values()))),
         ("acceleration factors", digest(*factors(accel.adapter))),
+        *solver_rows,
         ("style factors", digest(*factors(style.adapter))),
         ("combined factors", digest(*factors(combined.adapter))),
         ("LCM-4, adapter", digest(lcm_adapter)),
