@@ -74,10 +74,12 @@ def _attach_adapter(net, cfg):
     )
 
 
-def _section_opts(cls, cfg: dict, name: str):
-    """TrainOpts or DistillConfig from config section `name` plus the run seed."""
+def _section_opts(cls, cfg: dict, name: str, *N: int):
+    """Validated TrainOpts, or DistillConfig for N steps, from section `name` and the seed."""
     fields = {k: v for k, v in cfg[name].items() if k != "checkpoint_every"}
-    return cls(seed=cfg["seed"], **fields)
+    opts = cls(seed=cfg["seed"], **fields)
+    opts.validate(*N)
+    return opts
 
 
 def _finish_run(out: Path, cfg: dict, metrics: MetricsLog) -> None:
@@ -102,11 +104,11 @@ def cmd_train_teacher(args) -> int:
     cfg = _run_config(args)
     out = _resolve(args.out)
     sched = make_schedule(**cfg["schedule"])
+    opts = _section_opts(TrainOpts, cfg, "teacher")
     dataset = _build_dataset(cfg)
     net = _build_net(cfg)
-    opts = _section_opts(TrainOpts, cfg, "teacher")
     record = {"config": cfg, "sigma_data": cfg["net"]["sigma_data"]}
-    net_record(out / "teacher.ckpt", net, cfg["schedule"], record)  # save_net's check, up front
+    net_record(out / "teacher.ckpt", net, sched, cfg["schedule"], record)  # save_net's check
     metrics = MetricsLog()
 
     def checkpoint_cb(step):
@@ -123,7 +125,7 @@ def cmd_distill_lcm(args) -> int:
     cfg = _run_config(args)
     out = _resolve(args.out)
     teacher, sched, meta = load_net(_resolve(args.teacher))
-    dcfg = _section_opts(DistillConfig, cfg, "distill")
+    dcfg = _section_opts(DistillConfig, cfg, "distill", sched.N)
     dataset = _build_dataset(cfg)
     adapter = _attach_adapter(teacher, cfg)
     head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])

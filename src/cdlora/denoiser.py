@@ -27,6 +27,7 @@ from cdlora.tensor import (
     add_bias,
     concat_cols,
     embed_rows,
+    empty,
     matmul,
     mul,
     pad_cols,
@@ -92,7 +93,7 @@ def sinusoidal_table(x, dim: int) -> tuple:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rows
 
 
-def ints(low: int, step: int = 1):
+def ints(low: float = -math.inf, step: int = 1):
     """Test: an int of at least low that step divides (JSON true is no int)."""
     return lambda value: type(value) is int and value >= low and value % step == 0
 
@@ -102,8 +103,39 @@ def numbers(low: float = -math.inf, high: float = math.inf):
     return lambda value: type(value) in (int, float) and low < value < high
 
 
+def one_of(*options: str):
+    """Test: one of the given strings."""
+    return lambda value: type(value) is str and value in options
+
+
 def list_of(test):
     return lambda value: isinstance(value, (list, tuple)) and all(test(item) for item in value)
+
+
+def problems_of(record: dict, spec: dict, exact: bool = False, noun: str = "") -> list[str]:
+    """A phrase for each key of spec that record lacks or whose value fails its
+    test, and, with exact, for each key of record outside spec; noun precedes
+    each key's name. A test returns True for a good value, else False or a
+    phrase saying what is wrong; or it is a nested spec, which the value must
+    be an object to meet, with no keys outside it.
+    """
+    problems = []
+    for key, test in spec.items():
+        label, value = f"{noun}{key!r}", record.get(key)
+        if key not in record:
+            problems.append(f"missing {label}")
+        elif isinstance(test, dict):
+            problems += (problems_of(value, test, True, f"{label} entry for ")
+                         if isinstance(value, dict) else [f"bad {label} {value!r}"])
+        elif (verdict := test(value)) is not True:
+            problems.append(f"{label} {verdict}" if verdict else f"bad {label} {value!r}")
+    return problems + [f"unexpected {noun}{key!r}" for key in record if exact and key not in spec]
+
+
+def reject(what, problems: list[str], error: type = ValueError) -> None:
+    """Raise error("<what>: <problem>, ..."): how every setting and record is refused."""
+    if problems:
+        raise error(f"{what}: {', '.join(problems)}")
 
 
 # one test per constructor argument bar the init stream; DenoiserNet applies
@@ -145,10 +177,7 @@ class DenoiserNet:
         self.cond_dim = cond_dim
         self.num_conditions = num_conditions
         self.omega_ref = omega_ref
-        bad = [f"{name!r} {value!r}" for name, value in self.arch().items()
-               if not ARCH_RULES[name](value)]
-        if bad:
-            raise ValueError(f"bad architecture: {', '.join(bad)}")
+        reject("architecture", problems_of(self.arch(), ARCH_RULES))
         self.hidden = tuple(hidden)
         self.null_id = num_conditions  # dedicated row, never a zero hack
         self.params: dict[str, Tensor] = {}
@@ -238,8 +267,8 @@ class DenoiserNet:
 
         t_feats and g_feats are sinusoidal_table pairs; each block gathers its
         own feature rows from the distinct-value tables. The weights are
-        padded once per call, and the blocks run through a few buffers
-        allocated once per call: tensor.product writes into them, then the
+        padded once per call, and the blocks run through a few buffers taken
+        once per call from tensor.empty: tensor.product writes into them, then the
         adapter delta, the bias and SiLU (through tensor.silu_den) apply in
         place, in the primitives' order of operations, so the bits are the
         primitives' bits. Each block's output layer writes the block's rows
@@ -253,13 +282,13 @@ class DenoiserNet:
         size = -(-m // parts)  # rows of the largest block
         width = max(w.shape[1] for w, _, _, _ in layers)
         rank = max((lora[0].shape[1] for _, _, _, lora in layers if lora is not None), default=0)
-        x = np.empty((size, layers[2][0].shape[0]))
-        feats = np.empty(size * max(self.time_dim, self.guidance_dim))
-        acts = (np.empty(size * width), np.empty(size * width))
+        x = empty((size, layers[2][0].shape[0]))
+        feats = empty(size * max(self.time_dim, self.guidance_dim))
+        acts = (empty(size * width), empty(size * width))
         # an adapter delta is spent before the SiLU denominator is needed
-        scratch = np.empty(size * width)
-        low = np.empty(size * rank)
-        eps = np.empty((m, self.data_dim))
+        scratch = empty(size * width)
+        low = empty(size * rank)
+        eps = empty((m, self.data_dim))
         table = self.params["cond_table"].data
         blocks = (np.array_split(a, parts) for a in (eps, z, t_feats[1], g_feats[1], cond))
         for dst, zb, tb, gb, cb in zip(*blocks):

@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from cdlora.denoiser import DenoiserNet, net_fingerprint, numbers
+from cdlora.denoiser import (DenoiserNet, ints, list_of, net_fingerprint, numbers, problems_of,
+                             reject)
 from cdlora.tensor import Tensor
 
 SCALE_RULE = numbers()  # an entry's scale; attach and persist's adapter record apply it
@@ -115,29 +116,23 @@ def attach(
 
     A is Gaussian with variance 1/rank, B is zero, so the adapted forward
     equals the base forward exactly until training moves B. Base weights are
-    flagged frozen. Biases and the condition table are never valid targets.
+    flagged frozen. Biases and the condition table are never valid targets, nor
+    is a layer named twice.
 
     A rank above a layer's min(d, k) is an error unless cap_rank is set, in
     which case the entry's rank is clipped to min(d, k); full-coverage
     attachment needs the cap because the output layer is as narrow as the
     data. The adapter records net's fingerprint as its base.
     """
-    if rank < 1:
-        raise AdapterError(f"rank must be >= 1, got {rank}")
-    if not SCALE_RULE(scale):
-        raise AdapterError(f"scale {scale!r} is not a finite number")
-    if target_names is None:
-        target_names = net.weight_matrix_names()
-    if len(set(target_names)) != len(target_names):
-        raise AdapterError(f"targets {target_names} name a layer twice")
+    dense = net.weight_matrix_names()
+    targets = dense if target_names is None else target_names
+    reject("adapter settings", problems_of({"rank": rank, "scale": scale, "targets": targets}, {
+        "rank": ints(1), "scale": SCALE_RULE,
+        "targets": lambda names: list_of(dense.__contains__)(names) and (
+            len(set(names)) == len(names) or f"{names} repeats a name")}), AdapterError)
     adapter = LoraAdapter(net_fingerprint(net))
-    for name in target_names:
-        param = net.params.get(name)
-        if param is None:
-            raise AdapterError(f"unknown layer name {name!r}")
-        if param.data.ndim != 2 or not name.endswith(".weight"):
-            raise AdapterError(f"{name!r} is not a dense weight matrix")
-        d_in, d_out = param.shape
+    for name in targets:
+        d_in, d_out = net.params[name].shape
         r = rank
         if r > min(d_in, d_out):
             if not cap_rank:
@@ -181,9 +176,11 @@ def combine(style: AdapterBundle, accel: AdapterBundle, lambda1: float, lambda2:
     Shared layers get rank-concatenated factors with the lambda and scale
     weights folded into B, which equals the dense lambda1*D1 + lambda2*D2.
     A layer present in only one parent contributes that parent's scaled
-    delta (union semantics). Parents built against different bases are
-    an AdapterError.
+    delta (union semantics). Weights that are not finite numbers, and parents
+    built against different bases, are an AdapterError.
     """
+    weights = {"lambda1": lambda1, "lambda2": lambda2}
+    reject("combine weights", problems_of(weights, dict.fromkeys(weights, numbers())), AdapterError)
     if style.adapter.base != accel.adapter.base:
         raise AdapterError("adapters were built against different base architectures: "
                            f"style {style.adapter.base} vs acceleration {accel.adapter.base}")
@@ -210,9 +207,5 @@ def combine(style: AdapterBundle, accel: AdapterBundle, lambda1: float, lambda2:
     return AdapterBundle(
         adapter=out,
         role="combined",
-        provenance={
-            "lambda1": lambda1,
-            "lambda2": lambda2,
-            "parents": [style.role, accel.role],
-        },
+        provenance={**weights, "parents": [style.role, accel.role]},
     )

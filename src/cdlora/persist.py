@@ -5,9 +5,10 @@ tensor table with byte offsets, metadata, SHA-256 of the weight blob) and
 weights.bin (the tensors' float64 scalars, row-major, concatenated in
 manifest order). Loads verify the hash and the offset table before touching
 any tensor, and round-trip bit-identically. The manifest, the records and the
-tensors each record implies are declarative specs, checked by one walker,
-`_problems` (ARCH_RULES judge "arch", make_schedule "schedule"), when a
-checkpoint is saved as well as when it is loaded.
+tensors each record implies are declarative specs, checked by the walker that
+judges every setting, `denoiser.problems_of` (ARCH_RULES judge "arch",
+make_schedule "schedule"), when a checkpoint is saved as well as when it is
+loaded.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cdlora.denoiser import ARCH_RULES, SIGMA_DATA, DenoiserNet, ints, list_of, numbers
+from cdlora.denoiser import (ARCH_RULES, SIGMA_DATA, DenoiserNet, ints, list_of, numbers,
+                              problems_of, reject)
 from cdlora.lora import SCALE_RULE, AdapterBundle, LoraAdapter, LoraEntry, check_fit
 from cdlora.schedule import NoiseSchedule, ScheduleError, make_schedule
 from cdlora.tensor import Tensor
@@ -74,26 +76,6 @@ def save_checkpoint(path, tensors: dict, metadata: dict) -> None:
         fh.write("\n")
 
 
-def _problems(record: dict, spec: dict, exact: bool = False, noun: str = "") -> list[str]:
-    """A phrase for each key of spec that record lacks or whose value fails its
-    test, and, with exact, for each key of record outside spec; noun precedes
-    each key's name. A test returns True for a good value, else False or a
-    phrase saying what is wrong; or it is a nested spec, which the value must
-    be an object to meet, with no keys outside it.
-    """
-    problems = []
-    for key, test in spec.items():
-        label, value = f"{noun}{key!r}", record.get(key)
-        if key not in record:
-            problems.append(f"missing {label}")
-        elif isinstance(test, dict):
-            problems += (_problems(value, test, True, f"{label} entry for ")
-                         if isinstance(value, dict) else [f"bad {label} {value!r}"])
-        elif (verdict := test(value)) is not True:
-            problems.append(f"{label} {verdict}" if verdict else f"bad {label} {value!r}")
-    return problems + [f"unexpected {noun}{key!r}" for key in record if exact and key not in spec]
-
-
 def _of(kind):
     return lambda value: isinstance(value, kind)
 
@@ -112,7 +94,7 @@ def _tensor_table(table):
             continue
         name, shape, length = entry.get("name"), entry.get("shape"), entry.get("byte_length")
         size = np.dtype(_DTYPE).itemsize * math.prod(shape) if list_of(ints(0))(shape) else None
-        bad = _problems(entry, {
+        bad = problems_of(entry, {
             "name": lambda n: isinstance(n, str) and (
                 names.index(n) == i or f"repeats entry {names.index(n)}"),
             "shape": list_of(ints(0)),
@@ -145,11 +127,6 @@ _ADAPTER = {"kind": lambda kind: kind == "adapter", "role": _of(str), "provenanc
                 len(set(names)) == len(names) or f"{names} repeats a name")}
 
 
-def _reject(what, problems: list[str], error: type = CheckpointError) -> None:
-    if problems:
-        raise error(f"{what}: {', '.join(problems)}")
-
-
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read a checkpoint directory back into (tensors, metadata).
 
@@ -172,7 +149,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"checkpoint format version {version}, supported: {FORMAT_VERSION}")
-    _reject(manifest_path, _problems(manifest, _MANIFEST), CorruptionError)
+    reject(manifest_path, problems_of(manifest, _MANIFEST), CorruptionError)
     with open(path / "weights.bin", "rb") as fh:
         blob = fh.read()
     digest = hashlib.sha256(blob).hexdigest()
@@ -201,26 +178,31 @@ def _denoiser_schedule(path, meta: dict) -> NoiseSchedule:
     """Check a denoiser record as load_net reads it (sigma_data defaults to
     SIGMA_DATA) and return the schedule that make_schedule builds from it."""
     what = f"{path} denoiser record"
-    _reject(what, _problems({"sigma_data": SIGMA_DATA, **meta}, _DENOISER))
+    reject(what, problems_of({"sigma_data": SIGMA_DATA, **meta}, _DENOISER), CheckpointError)
     try:
         return make_schedule(**meta["schedule"])
     except ScheduleError as err:
         raise CheckpointError(f"{what}: 'schedule' entry for {err}") from err
 
 
-def net_record(path, net: DenoiserNet, sched_params: dict, extra: dict | None = None) -> dict:
-    """The record save_net writes for net at path, checked as load_net checks it."""
+def net_record(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
+               extra: dict | None = None) -> dict:
+    """The record save_net writes for net at path, checked as load_net checks it;
+    sched_params must describe sched, the schedule the net is saved with."""
     meta = {"kind": "denoiser", "arch": net.arch(), "schedule": dict(sched_params),
             **(extra or {})}
-    _denoiser_schedule(path, meta)
+    if not np.array_equal(_denoiser_schedule(path, meta).beta, sched.beta):
+        raise CheckpointError(f"{path} denoiser record: 'schedule' {meta['schedule']} is not the "
+                              f"net's, N = {sched.N}, betas {sched.beta[0]} to {sched.beta[-1]}")
     return meta
 
 
 def save_net(path, net: DenoiserNet, sched: NoiseSchedule, sched_params: dict,
              extra: dict | None = None) -> None:
-    """Write net as a denoiser checkpoint; a record load_net would reject is not written."""
+    """Write net as a denoiser checkpoint; a record load_net would reject, or one
+    of a schedule other than sched, is not written."""
     save_checkpoint(path, {n: p.data for n, p in net.params.items()},
-                    net_record(path, net, sched_params, extra))
+                    net_record(path, net, sched, sched_params, extra))
 
 
 def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
@@ -233,7 +215,8 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
     weights = {name: lambda arr, want=p.shape: arr.shape == want or (
                    f"has shape {arr.shape}, the architecture's is {want}")
                for name, p in net.params.items()}
-    _reject(f"{path} denoiser weights", _problems(tensors, weights, True, "tensor "))
+    reject(f"{path} denoiser weights", problems_of(tensors, weights, True, "tensor "),
+           CheckpointError)
     for name in net.params:
         net.params[name] = Tensor(tensors[name], requires_grad=True)
     return net, sched, meta
@@ -241,15 +224,16 @@ def load_net(path) -> tuple[DenoiserNet, NoiseSchedule, dict]:
 
 def _check_adapter(path, meta: dict, tensors: dict) -> None:
     """The record, each target's rank, scale and two factors, and no other tensors."""
-    _reject(f"{path} adapter record", _problems(meta, _ADAPTER))
+    reject(f"{path} adapter record", problems_of(meta, _ADAPTER), CheckpointError)
     entries = {"ranks": dict.fromkeys(meta["targets"], ints(1)),
                "scales": dict.fromkeys(meta["targets"], SCALE_RULE)}
     factors = {f"{name}.{factor}": lambda arr, rank=meta["ranks"].get(name), axis=axis: (
                    (arr.ndim == 2 and arr.shape[axis] == rank)
                    or f"has shape {arr.shape}, not rank {rank}")
                for name in meta["targets"] for factor, axis in (("lora_A", 0), ("lora_B", 1))}
-    _reject(f"{path} adapter record",
-            _problems(meta, entries) + _problems(tensors, factors, True, "tensor "))
+    reject(f"{path} adapter record",
+           problems_of(meta, entries) + problems_of(tensors, factors, True, "tensor "),
+           CheckpointError)
 
 
 def save_adapter(path, bundle: AdapterBundle, extra: dict | None = None) -> None:

@@ -30,7 +30,8 @@ class NoiseSchedule:
         self.beta = beta
         self.alpha_bar = np.cumprod(1.0 - beta)
         if self.alpha_bar[0] >= 1.0:
-            raise ScheduleError("degenerate alpha_bar range")
+            raise ScheduleError(f"'beta_min' {beta[0]} is too small: 1 - beta_min rounds to 1, "
+                                "so sigma(t_1) is 0")
         self._alpha = np.sqrt(self.alpha_bar)
         # alpha falls with n, and the solvers' off-grid alphas lie between grid values
         if self._alpha[-1] < ALPHA_GUARD:

@@ -16,6 +16,11 @@ carries a mark, (tape serial, node index), that later nodes resolve to its
 source. The mark names the tape by serial, not by reference, so a live output
 keeps no tape alive and closes no cycle that only the cyclic GC would free.
 
+While an ArrayPool is active, the primitives and their backward rules take
+the arrays they make from it (`empty`), bar the small results of the
+reductions, so a training loop's steps reuse one set of arrays instead of
+allocating afresh; the values are the same either way.
+
 SiLU takes one exp per element, x / (1 + exp(-x)), and its backward reuses
 that denominator. `silu_den` computes it into a caller's buffer, so the
 denoiser's buffer-reusing off-tape forward applies the same arithmetic in
@@ -25,6 +30,7 @@ place.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +85,69 @@ def _wrap(arr: np.ndarray) -> Tensor:
 
 _active_tape: Optional["GradTape"] = None
 _tape_serials = itertools.count()
+
+
+def _refs_of_listed() -> int:
+    """sys.getrefcount of an array that only a list refers to, read as ArrayPool.empty reads it."""
+    arrays = [np.empty(0)]
+    return sys.getrefcount(arrays[0])
+
+
+_POOL_ONLY = _refs_of_listed()
+
+
+class ArrayPool:
+    """float64 arrays that `empty` hands out again once only the pool refers to them.
+
+    `with pool:` makes `empty` draw from the pool. A training loop keeps one
+    across its steps, so each step writes into the arrays the step before it
+    released; fresh arrays would let glibc trim the freed heap top after each
+    step and fault it back in on the next, at a cost that depends on the heap
+    layout set-up left. An array that anything else refers to, a view of it
+    included, is never handed out.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}   # shape -> the pool's arrays of that shape
+        self._outer = None        # the pool that was active when this one was entered
+
+    def empty(self, shape) -> np.ndarray:
+        arrays = self._arrays.setdefault(shape, [])
+        for i in range(len(arrays)):
+            if sys.getrefcount(arrays[i]) == _POOL_ONLY:
+                return arrays[i]
+        arrays.append(np.empty(shape))
+        return arrays[-1]
+
+    def __enter__(self) -> "ArrayPool":
+        global _active_pool
+        self._outer, _active_pool = _active_pool, self
+        return self
+
+    def __exit__(self, *exc):
+        global _active_pool
+        _active_pool = self._outer
+        return False
+
+
+_active_pool: Optional[ArrayPool] = None
+
+
+def empty(shape) -> np.ndarray:
+    """An uninitialized float64 array: from the active ArrayPool, else new."""
+    return np.empty(shape) if _active_pool is None else _active_pool.empty(shape)
+
+
+def _copy(x: np.ndarray) -> np.ndarray:
+    """x copied into a C-contiguous array from `empty`."""
+    out = empty(x.shape)
+    np.copyto(out, x)
+    return out
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b into an array from `empty`."""
+    return np.matmul(a, b, out=empty((a.shape[0], b.shape[1])))
 
 
 class GradTape:
@@ -144,12 +213,14 @@ class GradTape:
                     continue
                 if isinstance(src, int):
                     acc = grads.get(src)
-                    grads[src] = gx if acc is None else acc + gx
+                    grads[src] = gx if acc is None else np.add(acc, gx, out=empty(gx.shape))
                 else:
-                    src.grad = gx.copy() if src.grad is None else src.grad + gx
+                    src.grad = (_copy(gx) if src.grad is None
+                                else np.add(src.grad, gx, out=empty(gx.shape)))
         for leaf in self._leaves.values():
             if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
+                leaf.grad = empty(leaf.data.shape)
+                leaf.grad.fill(0.0)
         self._consumed = True
 
 
@@ -195,7 +266,8 @@ def pad_cols(b: np.ndarray) -> np.ndarray:
     width = -(-n // COL_GROUP) * COL_GROUP
     if width == n:
         return b
-    out = np.zeros((b.shape[0], width))
+    out = empty((b.shape[0], width))
+    out[:, n:] = 0.0
     out[:, :n] = b
     return out
 
@@ -209,13 +281,14 @@ def product(a: np.ndarray, b: np.ndarray, n: Optional[int] = None, out=None) -> 
     So every forward product goes through here, and a forward run over row
     blocks equals the whole-batch forward bit for bit. b may come padded
     already, with n its unpadded column count, so a caller that multiplies
-    many blocks pads once. out, when given, is a flat buffer that the padded
-    product fills from the front; the result is then a view of it.
+    many blocks pads once. The padded product goes into out, a flat buffer
+    that it fills from the front, or by default into an array from `empty`;
+    when b is padded, the result is a view of that array.
     """
     n = b.shape[1] if n is None else n
     b = pad_cols(b)
-    if out is not None:
-        out = out[: a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
+    shape = (a.shape[0], b.shape[1])
+    out = empty(shape) if out is None else out[: shape[0] * shape[1]].reshape(shape)
     full = np.matmul(a, b, out=out)
     return full if full.shape[1] == n else full[:, :n]
 
@@ -240,10 +313,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        return (None if bd is None else g @ bd.T,
-                None if ad is None else ad.T @ g)
+        return (None if bd is None else _mm(g, bd.T),
+                None if ad is None else _mm(ad.T, g))
 
-    return _record(np.ascontiguousarray(product(a.data, b.data)), (a, b), bwd)
+    y = product(a.data, b.data)
+    return _record(y if y.flags.c_contiguous else _copy(y), (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -251,9 +325,9 @@ def transpose(a: Tensor) -> Tensor:
         raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
 
     def bwd(g):
-        return (np.ascontiguousarray(g.T),)
+        return (_copy(g.T),)
 
-    return _record(np.ascontiguousarray(a.data.T), (a,), bwd)
+    return _record(_copy(a.data.T), (a,), bwd)
 
 
 def _binary_shapes(a, b, name: str):
@@ -272,16 +346,22 @@ def _val(x):
     return x.data if isinstance(x, Tensor) else x
 
 
+def _like(a, b) -> np.ndarray:
+    """An array from `empty` of the shape of the tensor among a and b."""
+    return empty((a if isinstance(a, Tensor) else b).shape)
+
+
 def add(a, b) -> Tensor:
     _binary_shapes(a, b, "add")
     # backward drops the gradient of an operand that needs none
-    return _record(_val(a) + _val(b), (a, b), lambda g: (g, g))
+    return _record(np.add(_val(a), _val(b), out=_like(a, b)), (a, b), lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     _binary_shapes(a, b, "sub")
     gb = isinstance(b, Tensor) and b.requires_grad  # -g only for a b that needs it
-    return _record(_val(a) - _val(b), (a, b), lambda g: (g, -g if gb else None))
+    return _record(np.subtract(_val(a), _val(b), out=_like(a, b)), (a, b),
+                   lambda g: (g, np.negative(g, out=empty(g.shape)) if gb else None))
 
 
 def mul(a, b) -> Tensor:
@@ -292,17 +372,17 @@ def mul(a, b) -> Tensor:
     kb = av if isinstance(b, Tensor) and b.requires_grad else None
 
     def bwd(g):
-        return (None if ka is None else g * ka,
-                None if kb is None else g * kb)
+        return (None if ka is None else np.multiply(g, ka, out=empty(g.shape)),
+                None if kb is None else np.multiply(g, kb, out=empty(g.shape)))
 
-    return _record(av * bv, (a, b), bwd)
+    return _record(np.multiply(av, bv, out=_like(a, b)), (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
     def bwd(g):
-        return (-g,)
+        return (np.negative(g, out=empty(g.shape)),)
 
-    return _record(-a.data, (a,), bwd)
+    return _record(np.negative(a.data, out=empty(a.shape)), (a,), bwd)
 
 
 def silu_den(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -326,14 +406,14 @@ def silu(a: Tensor) -> Tensor:
     sigmoid(x) * (1 + x * (1 - sigmoid(x))).
     """
     x = a.data
-    den = silu_den(x, np.empty_like(x))
+    den = silu_den(x, empty(x.shape))
     with np.errstate(under="ignore"):
-        y = x / den
+        y = np.divide(x, den, out=empty(x.shape))
 
     def bwd(g):
         with np.errstate(under="ignore"):
-            sig = 1.0 / den
-            d = 1.0 - sig
+            sig = np.divide(1.0, den, out=empty(den.shape))
+            d = np.subtract(1.0, sig, out=empty(den.shape))
             d *= x
             d += 1.0
             d *= sig
@@ -347,19 +427,21 @@ def square(a: Tensor) -> Tensor:
     x = a.data
 
     def bwd(g):
-        return (g * (2.0 * x),)
+        d = np.multiply(2.0, x, out=empty(x.shape))
+        return (np.multiply(g, d, out=d),)
 
-    return _record(x * x, (a,), bwd)
+    return _record(np.multiply(x, x, out=empty(x.shape)), (a,), bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
     x = a.data
     if np.any(x < 0.0):
         raise NonFiniteError("sqrt of a negative value")
-    root = np.sqrt(x)
+    root = np.sqrt(x, out=empty(x.shape))
 
     def bwd(g):
-        return (g * (0.5 / root),)
+        d = np.divide(0.5, root, out=empty(root.shape))
+        return (np.multiply(g, d, out=d),)
 
     return _record(root, (a,), bwd)
 
@@ -368,7 +450,9 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def bwd(g):
-        return (np.full(shape, float(g)),)
+        d = empty(shape)
+        d.fill(float(g))
+        return (d,)
 
     return _record(np.sum(a.data).reshape(()), (a,), bwd)
 
@@ -378,7 +462,9 @@ def mean_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def bwd(g):
-        return (np.full(shape, float(g) / n),)
+        d = empty(shape)
+        d.fill(float(g) / n)
+        return (d,)
 
     return _record(np.mean(a.data).reshape(()), (a,), bwd)
 
@@ -390,7 +476,9 @@ def sum_rows(a: Tensor) -> Tensor:
     n = a.shape[1]
 
     def bwd(g):
-        return (np.repeat(g[:, None], n, axis=1),)
+        d = empty((g.shape[0], n))
+        d[:] = g[:, None]
+        return (d,)
 
     return _record(np.sum(a.data, axis=1), (a,), bwd)
 
@@ -405,7 +493,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return g, np.sum(g, axis=0) if bias_grad else None
 
-    return _record(x.data + b.data[None, :], (x, b), bwd)
+    return _record(np.add(x.data, b.data[None, :], out=empty(x.shape)), (x, b), bwd)
 
 
 def scale_rows(x: Tensor, s) -> Tensor:
@@ -418,10 +506,10 @@ def scale_rows(x: Tensor, s) -> Tensor:
     ks = sv if x.requires_grad else None
 
     def bwd(g):
-        return (None if ks is None else g * ks[:, None],
-                None if kx is None else np.sum(g * kx, axis=1))
+        return (None if ks is None else np.multiply(g, ks[:, None], out=empty(g.shape)),
+                None if kx is None else np.sum(np.multiply(g, kx, out=empty(g.shape)), axis=1))
 
-    return _record(xv * sv[:, None], (x, s), bwd)
+    return _record(np.multiply(xv, sv[:, None], out=empty(xv.shape)), (x, s), bwd)
 
 
 def embed_rows(table: Tensor, ids) -> Tensor:
@@ -436,11 +524,14 @@ def embed_rows(table: Tensor, ids) -> Tensor:
     shape = table.data.shape
 
     def bwd(g):
-        gt = np.zeros(shape)
+        gt = empty(shape)
+        gt.fill(0.0)
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _record(table.data[idx], (table,), bwd)
+    # the ids are in range, and mode="clip" lets np.take write into out unbuffered
+    return _record(np.take(table.data, idx, axis=0, out=empty((idx.size, *shape[1:])),
+                           mode="clip"), (table,), bwd)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -457,7 +548,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         return tuple(g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
 
-    return _record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
+    return _record(np.concatenate([p.data for p in parts], axis=1, out=empty((m, sum(widths)))),
+                   tuple(parts), bwd)
 
 
 # ---------------------------------------------------------------------------

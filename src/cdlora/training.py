@@ -20,12 +20,14 @@ from typing import Optional
 import numpy as np
 
 from cdlora.datasets import Dataset2D
-from cdlora.denoiser import ConsistencyHead, DenoiserNet, consistency_forward, ints, numbers
+from cdlora.denoiser import (ConsistencyHead, DenoiserNet, consistency_forward, ints, numbers,
+                              one_of, problems_of, reject)
 from cdlora.lora import AdapterBundle, AdapterError, LoraAdapter, attach, check_fit
 from cdlora.rng import substream
 from cdlora.schedule import NoiseSchedule, add_noise, make_schedule
 from cdlora.solvers import SOLVER_KINDS, cfg_target
-from cdlora.tensor import GradTape, Tensor, add, grad_check, mean_all, sqrt, square, sub, sum_rows
+from cdlora.tensor import (ArrayPool, GradTape, Tensor, add, grad_check, mean_all, sqrt, square,
+                            sub, sum_rows)
 
 
 class DivergenceError(ArithmeticError):
@@ -60,19 +62,6 @@ def lr_factor(schedule: str, step: int, total: int) -> float:
     raise ValueError(f"unknown lr schedule {schedule!r}")
 
 
-def _check_run(opts, batch: str, rate: str) -> None:
-    """The run rules TrainOpts and DistillConfig share (batch and rate name their batch-size and
-    learning-rate fields): steps an int >= 0, batch >= 1, a finite rate > 0, a known optimizer
-    and lr schedule."""
-    rules = {"steps": ints(0), batch: ints(1), rate: numbers(0)}
-    bad = [f"{name}={getattr(opts, name)!r}" for name, ok in rules.items()
-           if not ok(getattr(opts, name))]
-    if bad:
-        raise ValueError(f"bad run settings: {', '.join(bad)}")
-    make_optimizer(opts.optimizer, 1.0)
-    lr_factor(opts.lr_schedule, 1, 1)
-
-
 @dataclass
 class TrainOpts:
     """Plain diffusion-loss training options (teacher and style phases)."""
@@ -85,11 +74,13 @@ class TrainOpts:
     optimizer: str = "adam"
     lr_schedule: str = "cosine"
 
+    def rules(self) -> dict:
+        """A test per field (denoiser.problems_of's spec), which validate applies."""
+        return {**_RUN_RULES, "batch": ints(1), "lr": numbers(0),
+                "p_uncond": lambda p: numbers()(p) and 0.0 <= p < 1.0}
+
     def validate(self):
-        """The shared run rules (_check_run), and p_uncond in [0, 1)."""
-        _check_run(self, "batch", "lr")
-        if not (0.0 <= self.p_uncond < 1.0):
-            raise ValueError(f"p_uncond {self.p_uncond} outside [0, 1)")
+        reject("run settings", problems_of(vars(self), self.rules(), exact=True))
 
 
 @dataclass
@@ -112,27 +103,22 @@ class DistillConfig:
     optimizer: str = "adam"
     lr_schedule: str = "constant"
 
+    def rules(self, N: int) -> dict:
+        """A test per field, k's bound from a schedule of N steps; validate applies them."""
+        def scale(w):  # a guidance scale
+            return numbers()(w) and w >= 0.0
+
+        low = self.omega_min if scale(self.omega_min) else 0.0
+        return {**_RUN_RULES, "batch_size": ints(1), "eta": numbers(0),
+                "k": lambda k: ints(1)(k) and (k < N or f"{k} outside [1, {N - 1}]"),
+                "mu": lambda mu: numbers()(mu) and 0.0 <= mu <= 1.0,
+                "omega_fixed": scale, "omega_min": scale,
+                "omega_max": lambda w: scale(w) and (w >= low or f"{w} is below 'omega_min' {low}"),
+                "huber_c": numbers(0), "guidance_mode": one_of("fixed", "range"),
+                "distance": one_of("l2", "pseudo-huber"), "solver": one_of(*SOLVER_KINDS)}
+
     def validate(self, N: int):
-        """The shared run rules (_check_run), then the distillation's own
-        against a schedule of N steps: guidance scales finite and >= 0, huber_c > 0."""
-        _check_run(self, "batch_size", "eta")
-        for key in ("omega_fixed", "omega_min", "omega_max"):
-            if not (numbers()(value := getattr(self, key)) and value >= 0.0):
-                raise ValueError(f"guidance scale {key}={value!r} is not a finite number >= 0")
-        if not (1 <= self.k <= N - 1):
-            raise ValueError(f"skipping interval k={self.k} outside [1, {N - 1}]")
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError(f"EMA rate mu={self.mu} outside [0, 1]")
-        if self.omega_min > self.omega_max:
-            raise ValueError(f"omega range [{self.omega_min}, {self.omega_max}] is empty")
-        if not numbers(0)(self.huber_c):
-            raise ValueError(f"pseudo-Huber constant huber_c={self.huber_c} must be positive")
-        if self.guidance_mode not in ("fixed", "range"):
-            raise ValueError(f"unknown guidance mode {self.guidance_mode!r}")
-        if self.distance not in ("l2", "pseudo-huber"):
-            raise ValueError(f"unknown distance {self.distance!r}")
-        if self.solver not in SOLVER_KINDS:
-            raise ValueError(f"unknown solver {self.solver!r}")
+        reject("run settings", problems_of(vars(self), self.rules(N), exact=True))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +205,12 @@ class Adam:
             p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
-def make_optimizer(name: str, lr: float):
-    if name == "sgd":
-        return Sgd(lr)
-    if name == "adam":
-        return Adam(lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+LR_SCHEDULES = ("constant", "cosine")  # lr_factor's
+
+# the rules of the run fields TrainOpts and DistillConfig share
+_RUN_RULES = {"steps": ints(0), "seed": ints(), "optimizer": one_of(*OPTIMIZERS),
+              "lr_schedule": one_of(*LR_SCHEDULES)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +317,17 @@ def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str
     after_step() runs. A step's wall_ms spans draw to after_step; the
     checkpoint falls outside it.
     """
-    if not ints(0)(checkpoint_every):
-        raise ValueError(f"checkpoint_every {checkpoint_every!r} is not an int of at least 0")
-    opt = make_optimizer(optimizer, lr)
+    reject("run settings", problems_of({"checkpoint_every": checkpoint_every},
+                                       {"checkpoint_every": ints(0)}))
+    opt = OPTIMIZERS[optimizer](lr)
+    pool = ArrayPool()   # the arrays each step's draw and tape make, for the next step to reuse
     for step in range(1, steps + 1):
         tic = time.perf_counter()
-        with _step_guard(step):
+        with _step_guard(step), pool:
             batch = draw()
         for p in params:
             p.grad = None
-        with _step_guard(step), GradTape() as tape:
+        with _step_guard(step), pool, GradTape() as tape:
             loss = loss_fn(batch)
             tape.backward(loss)
         loss_val = float(loss.data)
@@ -350,9 +337,7 @@ def _train(steps: int, params: list, optimizer: str, lr: float, lr_schedule: str
         opt.step(params)
         if after_step is not None:
             after_step()
-        # drop the step's graph here, so the next draw reuses its memory;
-        # dropped before the optimizer step instead, it lets glibc trim and
-        # re-fault the heap top on every step
+        # drop the step's graph here, so that the next draw reuses its arrays
         del tape
         if metrics is not None:
             metrics.add(step, loss_val, (time.perf_counter() - tic) * 1e3)

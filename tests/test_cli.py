@@ -122,6 +122,13 @@ def test_sample_rejects_bad_count_or_cond(run_root, teacher_ckpt, capsys, flag, 
     assert not (run_root / "bad.csv").exists()
 
 
+def test_sample_draws_every_row_from_the_given_condition(run_root, teacher_ckpt, capsys):
+    assert main(["sample", "--ckpt", str(teacher_ckpt), "--steps", "2", "--count", "16",
+                 "--cond", "3", "--out", "three.csv"]) == 0
+    samples, cond = read_samples(run_root / "three.csv")
+    assert samples.shape == (16, 2) and np.all(cond == 3)
+
+
 def test_sample_ddim_rejects_steps_above_N(run_root, teacher_ckpt, capsys):
     capsys.readouterr()
     assert main(["sample", "--ckpt", str(teacher_ckpt), "--sampler", "ddim",
@@ -247,6 +254,20 @@ def test_combine_rejects_different_bases(run_root, teacher_ckpt, capsys):
     code = main(["combine-lora", "--style", "s2/style.ckpt",
                  "--accel", "d3/acceleration.ckpt", "--out", "c.ckpt"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--l1", "nan"), ("--l2", "inf")])
+def test_combine_rejects_non_finite_weights(run_root, capsys, flag, value):
+    _toy_adapter(run_root, "s.ckpt", "style", "fp")
+    _toy_adapter(run_root, "a.ckpt", "acceleration", "fp")
+    capsys.readouterr()
+    assert main(["combine-lora", "--style", "s.ckpt", "--accel", "a.ckpt", flag, value,
+                 "--out", "c.ckpt"]) == 1
+    captured = capsys.readouterr()
+    key = {"--l1": "lambda1", "--l2": "lambda2"}[flag]
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: combine weights: bad {key!r} {value}"
+    assert not (run_root / "c.ckpt").exists()
 
 
 def _toy_adapter(run_root, name, role, fingerprint):
@@ -462,7 +483,7 @@ def test_more_conditions_than_the_net_fail_every_training_command(run_root, caps
     capsys.readouterr()
     assert main(["distill-lcm", "--teacher", teacher, "--config", str(run_root / "k60.json"),
                  "--out", "r"]) == 1
-    assert capsys.readouterr().err.strip() == "error: skipping interval k=60 outside [1, 49]"
+    assert capsys.readouterr().err.strip() == "error: run settings: 'k' 60 outside [1, 49]"
     assert not (run_root / "r").exists()
 
 
@@ -492,9 +513,10 @@ def _assert_refused(run_root, capsys, recwarn, argv, named):
     ("teacher", {"optimizer": "adamw", "steps": 0}, "optimizer"),
     ("teacher", {"checkpoint_every": 2.5}, "checkpoint_every"),
     ("teacher", {"checkpoint_every": -5}, "checkpoint_every"),
+    ("teacher", {"p_uncond": "0.1"}, "run settings: bad 'p_uncond' '0.1'"),
 ], ids=["cond_dim-0", "hidden-0", "omega_ref-negative", "omega_ref-0", "time_dim-0",
         "sigma_data-negative", "float-N", "N-2000", "unknown-optimizer", "checkpoint_every-float",
-        "checkpoint_every-negative"])
+        "checkpoint_every-negative", "p_uncond-string"])
 def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, recwarn, section,
                                                               setting, named):
     cfg = {**MINI_CONFIG, section: {**MINI_CONFIG[section], **setting}}
@@ -523,12 +545,20 @@ def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, r
     ("finetune-style", "lora", {"rank": 0}, "rank"),
     ("distill-lcm", "lora", {"targets": ["bogus"]}, "'bogus'"),
     ("finetune-style", "lora", {"targets": ["bogus"]}, "'bogus'"),
+    ("distill-lcm", "distill", {"k": 2.5}, "run settings: bad 'k' 2.5"),
+    ("distill-lcm", "distill", {"k": True}, "run settings: bad 'k' True"),
+    ("distill-lcm", "distill", {"mu": "0.9"}, "run settings: bad 'mu' '0.9'"),
+    ("distill-lcm", "distill", {"mu": True}, "run settings: bad 'mu' True"),
+    ("finetune-style", "style", {"p_uncond": "0.1"}, "run settings: bad 'p_uncond' '0.1'"),
+    ("distill-lcm", "lora", {"rank": 2.5}, "adapter settings: bad 'rank' 2.5"),
+    ("finetune-style", "lora", {"rank": True}, "adapter settings: bad 'rank' True"),
 ], ids=["distill-negative-steps", "distill-batch-0", "distill-huber_c-0",
         "style-unknown-optimizer", "distill-checkpoint_every-float", "distill-omega_fixed-negative",
         "distill-omega_min-negative", "distill-omega_max-infinite", "distill-scale-string",
         "style-scale-string", "distill-count-0", "style-count-0", "distill-unknown-kind",
         "style-unknown-kind", "distill-rank-0", "style-rank-0", "distill-unknown-target",
-        "style-unknown-target"])
+        "style-unknown-target", "k-float", "k-bool", "mu-string", "mu-bool",
+        "style-p_uncond-string", "rank-float", "rank-bool"])
 def test_adapter_commands_refuse_a_bad_setting_before_any_step(run_root, teacher_ckpt, capsys,
                                                                recwarn, command, section,
                                                                setting, named):
@@ -536,6 +566,15 @@ def test_adapter_commands_refuse_a_bad_setting_before_any_step(run_root, teacher
     (run_root / "bad.json").write_text(json.dumps(cfg))
     _assert_refused(run_root, capsys, recwarn, [command, "--config", str(run_root / "bad.json"),
                                                 "--teacher", str(teacher_ckpt)], named)
+
+
+@pytest.mark.parametrize("command", [["train-teacher"], ["distill-lcm"], ["finetune-style"]])
+def test_training_commands_refuse_a_float_seed(run_root, teacher_ckpt, capsys, recwarn, command):
+    (run_root / "bad.json").write_text(json.dumps({**MINI_CONFIG, "seed": 2.5}))
+    teacher = [] if command == ["train-teacher"] else ["--teacher", str(teacher_ckpt)]
+    _assert_refused(run_root, capsys, recwarn,
+                    [*command, *teacher, "--config", str(run_root / "bad.json")],
+                    "run settings: bad 'seed' 2.5")
 
 
 def test_eval_names_an_empty_samples_file(run_root, capsys):

@@ -53,7 +53,7 @@ def test_constructor_rejects_what_the_arch_rules_reject(arg, value):
     # the rules persist.load_net applies to a checkpoint's "arch", with the same words
     with pytest.raises(ValueError) as err:
         DenoiserNet(**{arg: value})
-    assert str(err.value) == f"bad architecture: {arg!r} {value!r}"
+    assert str(err.value) == f"architecture: bad {arg!r} {value!r}"
 
 
 def test_arch_rules_cover_every_constructor_argument():

@@ -243,6 +243,18 @@ def test_combine_rejects_different_bases():
                               f"{net_fingerprint(net_b)}")
 
 
+@pytest.mark.parametrize("weights,named", [((float("nan"), 1.0), "bad 'lambda1' nan"),
+                                           ((0.8, float("-inf")), "bad 'lambda2' -inf"),
+                                           (("0.8", 1.0), "bad 'lambda1' '0.8'")])
+def test_combine_rejects_weights_that_are_not_finite_numbers(weights, named):
+    net = make_net(seed=68)
+    s1 = attach(net, target_names=["layer1.weight"], rank=2, stream=substream(69, "s"))
+    s2 = attach(net, target_names=["layer1.weight"], rank=2, stream=substream(70, "s"))
+    with pytest.raises(AdapterError) as err:
+        combine(AdapterBundle(s1, "style"), AdapterBundle(s2, "acceleration"), *weights)
+    assert str(err.value) == f"combine weights: {named}"
+
+
 @pytest.mark.parametrize("use", ["merge", "lcd_distill", "finetune_style_lora", "load_adapter"])
 def test_foreign_adapter_rejected_with_one_message(tmp_path, use):
     net = make_net()

@@ -283,6 +283,17 @@ def test_saves_refuse_records_that_loads_reject(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_net_refuses_a_record_of_another_schedule(tmp_path):
+    net = DenoiserNet(data_dim=2, hidden=(8,), num_conditions=2)
+    with pytest.raises(CheckpointError) as err:
+        save_net(tmp_path / "net.ckpt", net, make_schedule(10),
+                 {"N": 50, "beta_min": 1e-4, "beta_max": 0.05})
+    assert str(err.value) == (
+        f"{tmp_path / 'net.ckpt'} denoiser record: 'schedule' {{'N': 50, 'beta_min': 0.0001, "
+        "'beta_max': 0.05} is not the net's, N = 10, betas 0.0001 to 0.05")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_net_record_defaults_sigma_data_and_drops_the_fingerprint(tmp_path):
     net = _small_net(tmp_path)
     manifest = json.loads((tmp_path / "net.ckpt" / "manifest.json").read_text())

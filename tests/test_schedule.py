@@ -59,8 +59,10 @@ def test_parameter_validation():
     ({"N": 10, "beta_min": 0.2}, "'beta_max' 0.05 is below 'beta_min' 0.2"),
     ({"N": 1500}, "'N' 1500 with 'beta_min' 0.0001 and 'beta_max' 0.05 takes alpha(t_N) "
                   "below 1e-06"),
+    ({"N": 10, "beta_min": 1e-17}, "'beta_min' 1e-17 is too small: 1 - beta_min rounds to 1, "
+                                   "so sigma(t_1) is 0"),
 ], ids=["float-N", "N-1", "bool-N", "string-beta", "nan-beta", "infinite-beta", "betas-swapped",
-        "alpha-below-guard"])
+        "alpha-below-guard", "beta_min-rounds-away"])
 def test_make_schedule_names_the_key_it_rejects(kwargs, message):
     with pytest.raises(ScheduleError) as err:
         make_schedule(**kwargs)

@@ -3,6 +3,7 @@ import pytest
 
 from cdlora.rng import substream
 from cdlora.tensor import (
+    ArrayPool,
     GradTape,
     NonFiniteError,
     ShapeError,
@@ -12,10 +13,12 @@ from cdlora.tensor import (
     add_bias,
     concat_cols,
     embed_rows,
+    empty,
     grad_check,
     matmul,
     mean_all,
     mul,
+    neg,
     pad_cols,
     product,
     scale_rows,
@@ -274,6 +277,55 @@ def test_backward_deterministic_bitwise():
     ga1, gb1 = run()
     ga2, gb2 = run()
     assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+
+
+def test_array_pool_hands_out_only_released_arrays():
+    pool = ArrayPool()
+    first, second = pool.empty((3, 4)), pool.empty((3, 4))
+    assert first is not second and first.shape == (3, 4) and first.dtype == np.float64
+    view, first_id = first[:, :2], id(first)
+    del first
+    third = pool.empty((3, 4))   # first is still seen through the view
+    assert id(third) != first_id and third is not second
+    del view
+    assert id(pool.empty((3, 4))) == first_id
+    assert empty((3, 4)) is not second   # no pool is active
+    with pool:
+        assert id(empty((3, 4))) == first_id
+        assert pool.empty((4, 3)).shape == (4, 3)
+
+
+def _every_primitive_loss(x, w, b, s, table, ids):
+    h = concat_cols([silu(add_bias(matmul(x, w), b)), embed_rows(table, ids)])
+    h = scale_rows(sub(mul(h, 1.5), neg(square(h))), s)
+    rows = sum_rows(transpose(transpose(h)))
+    return add(mean_all(sqrt(add(square(h), 1.0))), sum_all(square(rows)))
+
+
+def test_pooled_tape_gives_the_same_bits_and_reuses_its_arrays():
+    stream = substream(29, "test/pool")
+    leaves = [Tensor(stream.normal(shape), requires_grad=True)
+              for shape in ((6, 5), (5, 4), (4,), (6,), (3, 2))]
+    ids = np.array([0, 2, 1, 2, 0, 1])
+
+    def step():
+        for leaf in leaves:
+            leaf.grad = None
+        with GradTape() as tape:
+            loss = _every_primitive_loss(*leaves, ids)
+            tape.backward(loss)
+        return float(loss.data), [leaf.grad.copy() for leaf in leaves]
+
+    want_loss, want_grads = step()
+    pool = ArrayPool()
+    sizes = []
+    for _ in range(3):
+        with pool:
+            got_loss, got_grads = step()
+        assert got_loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(got_grads, want_grads))
+        sizes.append(sum(len(arrays) for arrays in pool._arrays.values()))
+    assert sizes[0] > 0 and sizes[1] == sizes[2] == sizes[0]
 
 
 def test_primitive_gradients_randomized_shapes():

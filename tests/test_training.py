@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import weakref
 
@@ -148,7 +149,7 @@ def test_checkpoint_every_is_an_int_of_at_least_0(phase, every):
     net = fresh_net(hidden=(8,))
     saved, metrics = [], MetricsLog()
     hooks = dict(metrics=metrics, checkpoint_cb=saved.append, checkpoint_every=every)
-    with pytest.raises(ValueError, match="^checkpoint_every"):
+    with pytest.raises(ValueError) as err:
         if phase == "teacher":
             train_teacher(ring8(64, 3), net, Encoder.identity(), sched,
                           TrainOpts(steps=10, batch=8), **hooks)
@@ -156,6 +157,7 @@ def test_checkpoint_every_is_an_int_of_at_least_0(phase, every):
             adapter = attach(net, rank=2, stream=substream(17, "lora"), cap_rank=True)
             lcd_distill(net, adapter, ring8(64, 3), Encoder.identity(), sched,
                         DistillConfig(steps=10, batch_size=8), **hooks)
+    assert str(err.value) == f"run settings: bad 'checkpoint_every' {every!r}"
     assert saved == [] and metrics.rows == []
 
 
@@ -164,9 +166,66 @@ def test_checkpoint_every_is_an_int_of_at_least_0(phase, every):
                          ids=["omega_fixed-negative", "omega_min-negative", "omega_max-nan",
                               "omega_fixed-string"])
 def test_distill_config_checks_guidance_scales(setting):
-    key = next(iter(setting))
-    with pytest.raises(ValueError, match=f"^guidance scale {key}="):
+    key, value = next(iter(setting.items()))
+    with pytest.raises(ValueError) as err:
         DistillConfig(guidance_mode="range", **setting).validate(50)
+    assert str(err.value) == f"run settings: bad {key!r} {value!r}"
+
+
+# one rejected value per rule, against N = 50, with the message it must raise;
+# the last key of each setting is the one the message names
+REJECTED = [
+    (TrainOpts, {"steps": -1}, "bad 'steps' -1"),
+    (TrainOpts, {"steps": 2.0}, "bad 'steps' 2.0"),
+    (TrainOpts, {"lr": 0.0}, "bad 'lr' 0.0"),
+    (TrainOpts, {"batch": 0}, "bad 'batch' 0"),
+    (TrainOpts, {"p_uncond": 1.0}, "bad 'p_uncond' 1.0"),
+    (TrainOpts, {"p_uncond": "0.1"}, "bad 'p_uncond' '0.1'"),
+    (TrainOpts, {"seed": 2.5}, "bad 'seed' 2.5"),
+    (TrainOpts, {"optimizer": "adamw"}, "bad 'optimizer' 'adamw'"),
+    (TrainOpts, {"lr_schedule": "linear"}, "bad 'lr_schedule' 'linear'"),
+    (DistillConfig, {"eta": float("inf")}, "bad 'eta' inf"),
+    (DistillConfig, {"mu": 1.5}, "bad 'mu' 1.5"),
+    (DistillConfig, {"mu": "0.9"}, "bad 'mu' '0.9'"),
+    (DistillConfig, {"mu": True}, "bad 'mu' True"),
+    (DistillConfig, {"k": 0}, "bad 'k' 0"),
+    (DistillConfig, {"k": 2.5}, "bad 'k' 2.5"),
+    (DistillConfig, {"k": True}, "bad 'k' True"),
+    (DistillConfig, {"k": 50}, "'k' 50 outside [1, 49]"),
+    (DistillConfig, {"guidance_mode": "sweep"}, "bad 'guidance_mode' 'sweep'"),
+    (DistillConfig, {"omega_fixed": -1.0}, "bad 'omega_fixed' -1.0"),
+    (DistillConfig, {"omega_min": float("nan")}, "bad 'omega_min' nan"),
+    (DistillConfig, {"omega_max": "14"}, "bad 'omega_max' '14'"),
+    (DistillConfig, {"omega_min": 5.0, "omega_max": 2.0},
+     "'omega_max' 2.0 is below 'omega_min' 5.0"),
+    (DistillConfig, {"distance": "l1"}, "bad 'distance' 'l1'"),
+    (DistillConfig, {"huber_c": 0}, "bad 'huber_c' 0"),
+    (DistillConfig, {"solver": "euler"}, "bad 'solver' 'euler'"),
+    (DistillConfig, {"steps": -3}, "bad 'steps' -3"),
+    (DistillConfig, {"batch_size": 0}, "bad 'batch_size' 0"),
+    (DistillConfig, {"seed": None}, "bad 'seed' None"),
+    (DistillConfig, {"optimizer": 1}, "bad 'optimizer' 1"),
+    (DistillConfig, {"lr_schedule": "cosine "}, "bad 'lr_schedule' 'cosine '"),
+]
+
+
+@pytest.mark.parametrize("cls", [TrainOpts, DistillConfig])
+def test_rules_cover_every_field(cls):
+    # validate judges every field, and REJECTED tries every rule, so a field
+    # added without a rule, or a rule without a rejected value, fails here
+    names = {f.name for f in dataclasses.fields(cls)}
+    rules = cls().rules() if cls is TrainOpts else cls().rules(50)
+    assert set(rules) == names
+    assert {[*setting][-1] for owner, setting, _ in REJECTED if owner is cls} == names
+
+
+@pytest.mark.parametrize("cls,setting,message", REJECTED)
+def test_each_rule_names_the_key_it_rejects(cls, setting, message):
+    opts = cls(**setting)
+    with pytest.raises(ValueError) as err:
+        opts.validate() if cls is TrainOpts else opts.validate(50)
+    assert str(err.value) == f"run settings: {message}"
+    assert f"{[*setting][-1]!r}" in message
 
 
 def test_empty_dataset_rejected():

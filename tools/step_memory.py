@@ -7,7 +7,8 @@ end. For each phase it prints, over the steps after the first WARMUP:
 
 - step peak: the most memory the step's traced allocations (Python objects
   and numpy arrays, through tracemalloc) held above what was live when the
-  step began;
+  step began; the arrays that the training loop's ArrayPool keeps from the
+  step before count as live, so this is what a step allocates beyond them;
 - minor faults: minor page faults per step (`getrusage`), from a separate pass
   without tracemalloc, since tracemalloc's own bookkeeping moves the heap.
 
@@ -16,8 +17,11 @@ after the first of SAMPLE_CALLS, for one guided 50-step `ddim_sample` and one
 4-step `lcm_multistep_sample` through a fresh rank-8 adapter, each of the
 config's `sample.count` points from the short teacher.
 
-Fault counts depend on the heap layout that set-up leaves, so they vary with
-the seed and even with the checkout directory's name; the peaks do not.
+Where code allocates afresh, its fault count depends on the heap layout that
+set-up leaves, so it varies with the seed and even with the checkout
+directory's name; the peaks do not. A training step takes its arrays from the
+loop's ArrayPool, refilled by the step before, and should read 0 faults in
+every layout.
 
 Run from the repository root, against the tree under test:
 
@@ -52,7 +56,7 @@ from cdlora import (
 )
 
 TEACHER_SETUP_STEPS = 100   # the short teacher that distillation starts from
-WARMUP = 5                  # first steps left out: they allocate optimizer and EMA state
+WARMUP = 5                  # first steps left out: they allocate optimizer, EMA and pool state
 SAMPLE_CALLS = 4            # calls per sampler and pass; the first is left out
 
 
