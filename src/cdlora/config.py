@@ -51,7 +51,7 @@ DEFAULTS = {
     "dataset": {"kind": "ring8", "count": 8192, "params": {}},
 }
 
-# dataset.params is generator-specific and validated by the generator itself
+# dataset.params is generator-specific; make_dataset's rules judge it
 _FREE_SUBTREES = {("dataset", "params")}
 
 

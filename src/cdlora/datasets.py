@@ -10,10 +10,12 @@ parameterisation may cost).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from cdlora.denoiser import ints, list_of, numbers, one_of, problems_of, reject
 from cdlora.rng import substream
 
 RING8_RADIUS = 2.0
@@ -76,17 +78,42 @@ def rotated(base: Dataset2D, angle_deg: float) -> Dataset2D:
     return Dataset2D(base.x @ rot.T, base.cond.copy(), "rotated", base.num_conditions, params)
 
 
+GENERATORS = {"ring8": ring8, "checkerboard": checkerboard, "single_gaussian": single_gaussian}
+
+# a test per keyword parameter of each generator; "rotated" takes its base
+# kind's, plus its own base and angle_deg
+PARAM_RULES = {
+    "ring8": {"radius": numbers(0), "sigma": numbers(0)},
+    "checkerboard": {"cells": ints(2, step=2), "span": numbers(0)},
+    "single_gaussian": {"mean": lambda mean: list_of(numbers())(mean) and len(mean) == 2,
+                        "s_d": numbers(0)},
+}
+ROTATED_RULES = {"base": one_of(*GENERATORS),
+                 "angle_deg": lambda angle: numbers()(angle) or f"{angle!r} is not a finite number"}
+
+
+def _count(count) -> bool | str:
+    return ints()(count) and (count >= 1 or f"{count} would make an empty dataset")
+
+
 def make_dataset(kind: str, count: int, seed: int, **params) -> Dataset2D:
-    """Build a dataset by kind name; "rotated" needs base= and angle_deg=."""
-    if kind == "ring8":
-        return ring8(count, seed, **params)
-    if kind == "checkerboard":
-        return checkerboard(count, seed, **params)
-    if kind == "single_gaussian":
-        return single_gaussian(count, seed, **params)
+    """Build a dataset by kind name. "rotated" needs angle_deg= and takes base=
+    (ring8 by default) and the base kind's parameters. A bad kind, count or
+    parameter, an unknown parameter or a missing angle_deg raises one
+    ValueError that names each key."""
+    base = params.get("base", "ring8") if kind == "rotated" else kind
+    generator = GENERATORS.get(base) if isinstance(base, str) else None
+    rules = (PARAM_RULES[base] if generator else {}) | (ROTATED_RULES if kind == "rotated" else {})
+    given = dict(params)
+    if generator is not None:   # its keyword defaults, under what params gives
+        given = {name: p.default for name, p in inspect.signature(generator).parameters.items()
+                 if p.default is not p.empty} | given
     if kind == "rotated":
-        base_params = dict(params)
-        base_kind = base_params.pop("base", "ring8")
-        angle = base_params.pop("angle_deg")
-        return rotated(make_dataset(base_kind, count, seed, **base_params), angle)
-    raise ValueError(f"unknown dataset kind {kind!r}; expected one of {DATASET_KINDS}")
+        given.setdefault("base", base)
+    reject("dataset", problems_of({"kind": kind, "count": count, "params": given},
+                                  {"kind": one_of(*DATASET_KINDS), "count": _count,
+                                   "params": rules}))
+    if kind != "rotated":
+        return generator(count, seed, **given)
+    own = {k: v for k, v in given.items() if k not in ROTATED_RULES}
+    return rotated(generator(count, seed, **own), given["angle_deg"])

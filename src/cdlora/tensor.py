@@ -22,9 +22,10 @@ reductions, so a training loop's steps reuse one set of arrays instead of
 allocating afresh; the values are the same either way.
 
 SiLU takes one exp per element, x / (1 + exp(-x)), and its backward reuses
-that denominator. `silu_den` computes it into a caller's buffer, so the
-denoiser's buffer-reusing off-tape forward applies the same arithmetic in
-place.
+that denominator. `silu_den` computes it into a caller's buffer and
+`silu_grad` is the backward formula, so the denoiser's own forwards (the
+buffer-reusing off-tape one, and the taped one that records the whole network
+as one node) apply the primitive's arithmetic without calling it.
 """
 
 from __future__ import annotations
@@ -399,28 +400,27 @@ def silu_den(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x) = x / (1 + exp(-x)) with one exp.
+def silu_grad(x: np.ndarray, den: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """SiLU's backward: g * sigmoid(x) * (1 + x * (1 - sigmoid(x))), into an
+    array from `empty`, with sigmoid(x) = 1 / den rebuilt from silu_den's den."""
+    with np.errstate(under="ignore"):
+        sig = np.divide(1.0, den, out=empty(den.shape))
+        d = np.subtract(1.0, sig, out=empty(den.shape))
+        d *= x
+        d += 1.0
+        d *= sig
+        d *= g
+    return d
 
-    The backward rebuilds sigmoid(x) = 1 / den from the kept denominator:
-    sigmoid(x) * (1 + x * (1 - sigmoid(x))).
-    """
+
+def silu(a: Tensor) -> Tensor:
+    """x * sigmoid(x) = x / (1 + exp(-x)) with one exp; the backward
+    (silu_grad) reuses the denominator."""
     x = a.data
     den = silu_den(x, empty(x.shape))
     with np.errstate(under="ignore"):
         y = np.divide(x, den, out=empty(x.shape))
-
-    def bwd(g):
-        with np.errstate(under="ignore"):
-            sig = np.divide(1.0, den, out=empty(den.shape))
-            d = np.subtract(1.0, sig, out=empty(den.shape))
-            d *= x
-            d += 1.0
-            d *= sig
-            d *= g
-        return (d,)
-
-    return _record(y, (a,), bwd)
+    return _record(y, (a,), lambda g: (silu_grad(x, den, g),))
 
 
 def square(a: Tensor) -> Tensor:

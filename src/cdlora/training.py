@@ -153,7 +153,8 @@ class EmaShadow:
 
 
 def ema_update(shadow: EmaShadow, params: list, mu: float) -> EmaShadow:
-    """shadow <- mu * shadow + (1 - mu) * params, exactly, off-tape."""
+    """shadow <- mu * shadow + (1 - mu) * params, exactly, off-tape and in
+    place; every shape is checked before any factor is written."""
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"EMA rate mu={mu} outside [0, 1]")
     if len(shadow.params) != len(params):
@@ -161,8 +162,10 @@ def ema_update(shadow: EmaShadow, params: list, mu: float) -> EmaShadow:
     for s, p in zip(shadow.params, params):
         if s.data.shape != p.data.shape:
             raise ValueError(f"shadow shape {s.data.shape} != param shape {p.data.shape}")
+    for s, p in zip(shadow.params, params):
         # exact at both ends for finite factors: 1 * s + 0 * p and 0 * s + 1 * p
-        s.data = mu * s.data + (1.0 - mu) * p.data
+        s.data *= mu
+        s.data += (1.0 - mu) * p.data
     return shadow
 
 
@@ -173,7 +176,7 @@ class Sgd:
     def step(self, params):
         for p in params:
             if p.grad is not None:
-                p.data = p.data - self.lr * p.grad
+                p.data -= self.lr * p.grad
 
 
 # Adam's moment decay rates and denominator guard
@@ -181,28 +184,59 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
+    """Adam over flat arrays that span all parameters.
+
+    The moments m and v, the gathered gradient and one scratch array are
+    flat, sized on the first step. Each step runs the update formula once
+    over every run of consecutive parameters that have a gradient, in place,
+    then subtracts each parameter's slice of the update from it in place. A
+    parameter without a gradient keeps its value and its moments.
+    """
+
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.flat = None   # rows m, v, gradient (then update) and scratch
 
     def step(self, params):
         self.t += 1
         correct1 = 1.0 - ADAM_BETA1 ** self.t
         correct2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, p in enumerate(params):
-            if p.grad is None:
-                continue
-            m = self.m.get(i)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.v[i] = np.zeros_like(p.data)
-            v = self.v[i]
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * p.grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * p.grad * p.grad
-            self.m[i], self.v[i] = m, v
-            p.data = p.data - self.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        spans, size = [], 0   # (parameter, start, end) in the flat arrays, of those with a gradient
+        for p in params:
+            if p.grad is not None:
+                spans.append((p, size, size + p.data.size))
+            size += p.data.size
+        if self.flat is None:
+            self.flat = np.zeros((4, size))
+        if self.flat.shape[1] != size:
+            raise ValueError(f"Adam holds moments of {self.flat.shape[1]} values, got {size}")
+        m, v, g, tmp = self.flat
+        runs = []   # [start, end) of each run of consecutive parameters with a gradient
+        for p, lo, hi in spans:
+            g[lo:hi] = p.grad.reshape(-1)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        for lo, hi in runs:
+            rm, rv, rg, rt = m[lo:hi], v[lo:hi], g[lo:hi], tmp[lo:hi]
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g
+            rm *= ADAM_BETA1
+            rm += np.multiply(rg, 1.0 - ADAM_BETA1, out=rt)
+            rv *= ADAM_BETA2
+            np.multiply(rg, 1.0 - ADAM_BETA2, out=rt)
+            rt *= rg
+            rv += rt
+            # the gradient is spent: its rows take the update lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(rm, correct1, out=rg)
+            rg *= self.lr
+            np.divide(rv, correct2, out=rt)
+            np.sqrt(rt, out=rt)
+            rt += ADAM_EPS
+            rg /= rt
+        for p, lo, hi in spans:
+            p.data -= g[lo:hi].reshape(p.data.shape)
 
 
 OPTIMIZERS = {"sgd": Sgd, "adam": Adam}

@@ -514,9 +514,15 @@ def _assert_refused(run_root, capsys, recwarn, argv, named):
     ("teacher", {"checkpoint_every": 2.5}, "checkpoint_every"),
     ("teacher", {"checkpoint_every": -5}, "checkpoint_every"),
     ("teacher", {"p_uncond": "0.1"}, "run settings: bad 'p_uncond' '0.1'"),
+    ("dataset", {"count": 2.5}, "dataset: bad 'count' 2.5"),
+    ("dataset", {"count": True}, "dataset: bad 'count' True"),
+    ("dataset", {"count": -4}, "dataset: 'count' -4 would make an empty dataset"),
+    ("dataset", {"params": {"radius": "2"}}, "dataset: bad 'params' entry for 'radius' '2'"),
+    ("dataset", {"kind": "rotated"}, "dataset: missing 'params' entry for 'angle_deg'"),
 ], ids=["cond_dim-0", "hidden-0", "omega_ref-negative", "omega_ref-0", "time_dim-0",
         "sigma_data-negative", "float-N", "N-2000", "unknown-optimizer", "checkpoint_every-float",
-        "checkpoint_every-negative", "p_uncond-string"])
+        "checkpoint_every-negative", "p_uncond-string", "count-float", "count-bool",
+        "count-negative", "radius-string", "rotated-without-angle"])
 def test_train_teacher_refuses_a_bad_setting_before_any_step(run_root, capsys, recwarn, section,
                                                               setting, named):
     cfg = {**MINI_CONFIG, section: {**MINI_CONFIG[section], **setting}}

@@ -59,3 +59,39 @@ def test_rotated_via_make_dataset():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         make_dataset("spiral", 10, 0)
+
+
+@pytest.mark.parametrize("kind,count,params,message", [
+    ("ring8", 2.5, {}, "bad 'count' 2.5"),
+    ("ring8", True, {}, "bad 'count' True"),
+    ("ring8", -4, {}, "'count' -4 would make an empty dataset"),
+    ("ring8", 0, {}, "'count' 0 would make an empty dataset"),
+    ("ring8", 10, {"radius": "2"}, "bad 'params' entry for 'radius' '2'"),
+    ("ring8", 10, {"sigma": float("nan")}, "bad 'params' entry for 'sigma' nan"),
+    ("ring8", 10, {"radius": 2.0, "spread": 1}, "unexpected 'params' entry for 'spread'"),
+    ("checkerboard", 10, {"cells": 3}, "bad 'params' entry for 'cells' 3"),
+    ("single_gaussian", 10, {"mean": [1.0]}, "bad 'params' entry for 'mean' [1.0]"),
+    ("single_gaussian", 10, {"s_d": -1}, "bad 'params' entry for 's_d' -1"),
+    ("rotated", 10, {}, "missing 'params' entry for 'angle_deg'"),
+    ("rotated", 10, {"angle_deg": float("inf")},
+     "'params' entry for 'angle_deg' inf is not a finite number"),
+    ("rotated", 10, {"angle_deg": 10, "base": "rotated"},
+     "bad 'params' entry for 'base' 'rotated'"),
+    ("rotated", 10, {"angle_deg": 10, "base": "checkerboard", "cells": "4"},
+     "bad 'params' entry for 'cells' '4'"),
+    ("spiral", 10, {}, "bad 'kind' 'spiral'"),
+    (["ring8"], 10, {}, "bad 'kind' ['ring8']"),
+    ("rotated", 10, {"angle_deg": 10, "base": ["ring8"]},
+     "bad 'params' entry for 'base' ['ring8']"),
+])
+def test_make_dataset_names_each_bad_key(kind, count, params, message):
+    with pytest.raises(ValueError) as err:
+        make_dataset(kind, count, 0, **params)
+    assert str(err.value) == f"dataset: {message}"
+
+
+def test_rotated_takes_its_base_kinds_parameters():
+    ds = make_dataset("rotated", 100, 13, base="checkerboard", angle_deg=90, cells=2)
+    direct = rotated(make_dataset("checkerboard", 100, 13, cells=2), 90)
+    np.testing.assert_array_equal(ds.x, direct.x)
+    assert ds.params == {"cells": 2, "span": 4.0, "rotated_from": "checkerboard", "angle_deg": 90}

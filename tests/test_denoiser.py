@@ -1,3 +1,4 @@
+import functools
 import inspect
 import tracemalloc
 import weakref
@@ -17,7 +18,8 @@ from cdlora.denoiser import (
 from cdlora.lora import attach
 from cdlora.rng import substream
 from cdlora.schedule import ScheduleError, make_schedule
-from cdlora.tensor import GradTape, NonFiniteError, Tensor, grad_check, silu, silu_den, sum_all
+from cdlora.tensor import (COL_GROUP, GradTape, NonFiniteError, Tensor, grad_check, mul, silu,
+                           silu_den, sum_all)
 
 
 def small_net(seed=0, hidden=(16, 16)):
@@ -199,8 +201,9 @@ def test_blocked_forward_holds_no_whole_batch_activation(scale):
 
 
 def test_only_off_tape_forwards_are_blocked(monkeypatch):
-    # the blocked path applies SiLU in place through silu_den; the taped
-    # path calls the silu primitive, whose own silu_den is tensor's
+    # the blocked path applies SiLU in place through silu_den, one block at
+    # a time; the taped forward is one node that applies it to the whole
+    # batch through silu_den, and never calls the silu primitive
     net, _ = _busy_net(43)
     calls = []
 
@@ -219,32 +222,126 @@ def test_only_off_tape_forwards_are_blocked(monkeypatch):
     # three blocks of 200 rows (BLOCK_ROWS is 256), three hidden layers each
     assert calls == [("silu_den", 200)] * 9
     calls.clear()
-    with GradTape():
+    with GradTape() as tape:
         net.forward(z, 7.5, 0, 0.5)
-    assert calls == [("silu", 600)] * 3
+    assert calls == [("silu_den", 600)] * 3
+    assert len(tape._nodes) == 1
+
+
+def _per_op(net, z, omega, cond, t, adapter):
+    """The forward through the tape's primitives (_trunk and _dense): the
+    per-op graph that the taped node must match bit for bit."""
+    m = z.shape[0]
+    rows = [Tensor(z), *(Tensor(v[idx]) for v, idx in (
+        sinusoidal_table(np.broadcast_to(t, (m,)), net.time_dim),
+        sinusoidal_table(np.broadcast_to(omega, (m,)) / net.omega_ref, net.guidance_dim)))]
+    cond = np.broadcast_to(np.asarray(cond, dtype=np.int64), (m,))
+    h = net._trunk(*rows, cond, adapter)
+    return net._dense(h, f"layer{net.n_layers - 1}", adapter)
+
+
+def _trainable(net, adapter, which):
+    """Freeze everything, then make one set trainable: "base" (every
+    parameter of the net), "factors" (the adapter's) or "single" (one weight)."""
+    factors = [] if adapter is None else adapter.trainable_params()
+    for p in [*net.params.values(), *factors]:
+        p.requires_grad = False
+    chosen = {"base": list(net.params.values()), "factors": factors,
+              "single": [net.params["layer1.weight"]]}[which]
+    for p in chosen:
+        p.requires_grad = True
+    return chosen
+
+
+@pytest.mark.parametrize("net_id,which", [(net_id, which) for net_id in NETS
+                                           for which in ("base", "factors", "single")
+                                           if NETS[net_id][0] is not None or which != "factors"])
+@pytest.mark.parametrize("m", [1, BLOCK_ROWS - 1, BLOCK_ROWS, 600])
+def test_taped_node_equals_the_per_op_graph(m, net_id, which):
+    scale, rank, hidden = NETS[net_id]
+    net, adapter = _busy_net(50, scale, rank, hidden)
+    params = _trainable(net, adapter, which)
+    stream = substream(51, "test/node")
+    z = stream.normal((m, 2))
+    inputs = (14.0 * stream.uniform(m), stream.integers(m, 0, net.null_id), stream.uniform(m))
+    weights = Tensor(stream.normal((m, 2)))
+    results = []
+    for forward in (net.forward, functools.partial(_per_op, net)):
+        for p in params:
+            p.grad = None
+        with GradTape() as tape:
+            out = forward(z, *inputs, adapter)
+            tape.backward(sum_all(mul(out, weights)))
+        results.append((out.data, [p.grad for p in params], len(tape._nodes)))
+    (node, node_grads, nodes), (graph, graph_grads, _) = results
+    assert nodes == 3   # the network, mul and sum_all
+    assert np.array_equal(node, graph)
+    for p, a, b in zip(params, node_grads, graph_grads):
+        assert np.array_equal(a, b)
+
+
+def _kept(tape):
+    """{layer name: names of the arrays its part of the network node keeps}."""
+    layers = inspect.getclosurevars(tape._nodes[0][1]).nonlocals
+    kept = {}
+    for layer in (*layers["proj"], *layers["layers"]):
+        name = next(n for n, p in layers["self"].params.items() if p is layer.w)[:-len(".weight")]
+        kept[name] = {f for f in ("x", "wd", "at", "u", "bt", "pre", "den")
+                      if getattr(layer, f) is not None}
+    return kept
+
+
+ALL = {"x", "wd", "at", "u", "bt", "pre", "den"}
+LAYERS = ("time_proj", "guidance_proj", "layer0", "layer1", "layer2", "layer3")
+# what each layer keeps for the backward of one trainable set: the input x
+# for W's and A's gradients, W (wd) and A^T (at) for the input's, x A^T (u)
+# for B's, B^T (bt) for the gradient of u, and a hidden layer's pre-activation
+# and SiLU denominator while a gradient flows through them
+KEPT = {
+    "factors": dict(zip(LAYERS, [{"x", "u", "bt"}] * 2 + [ALL] * 3 + [ALL - {"pre", "den"}])),
+    "base": dict(zip(LAYERS, [{"x"}] * 2 + [ALL - {"u"}] * 3 + [{"x", "wd", "at", "bt"}])),
+    "single": dict(zip(LAYERS, [set()] * 3 + [{"x", "pre", "den"}, ALL - {"x", "u"},
+                                              {"wd", "at", "bt"}])),
+}
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5], ids=["rank8", "rank8-scale0.5"])
 def test_taped_forward_frees_what_backward_never_reads(monkeypatch, scale):
-    # each adapted layer adds the base product x W and the adapter delta,
-    # then the bias; backward reads none of the three, so none may outlive
-    # the forward on a frozen base
-    net, adapter = _busy_net(44, scale)
-    add = cdlora.denoiser.add
-    dropped = []
+    # every layer makes three products, x W, x A^T and the delta (x A^T) B^T;
+    # the base product of a hidden layer becomes its pre-activation in place,
+    # so it lives while SiLU's backward reads it; the other base products
+    # (written into the concatenated input or the output) and every delta
+    # are freed during the forward, and x A^T lives only for B's gradient
+    product = cdlora.denoiser.product
+    made = []
 
-    def add_rows(y, delta):
-        out = add(y, delta)
-        dropped.extend(weakref.ref(t.data) for t in (y, delta, out))
+    def product_rows(a, b, *args, **kwargs):
+        out = product(a, b, *args, **kwargs)
+        made.append(weakref.ref(out if out.base is None else out.base))
         return out
 
-    monkeypatch.setattr(cdlora.denoiser, "add", add_rows)
-    with GradTape() as tape:
-        loss = sum_all(net.forward(substream(45, "z").normal((3, 2)), 7.5, 3, 0.4, adapter=adapter))
-        assert len(dropped) == 3 * len(adapter.entries)
-        assert [ref() for ref in dropped] == [None] * len(dropped)
-        tape.backward(loss)
-    assert all(np.any(e.b.grad != 0.0) for e in adapter.entries.values())
+    monkeypatch.setattr(cdlora.denoiser, "product", product_rows)
+    for which, want in KEPT.items():
+        net, adapter = _busy_net(44, scale)
+        params = _trainable(net, adapter, which)
+        made.clear()
+        with GradTape() as tape:
+            loss = sum_all(net.forward(substream(45, "z").normal((3, 2)), 7.5, 3, 0.4,
+                                       adapter=adapter))
+            assert len(tape._nodes) == 2
+            kept = _kept(tape)
+            assert kept == want, which
+            alive = [ref() is not None for ref in made]
+            assert len(alive) == 3 * len(LAYERS)
+            for i, name in enumerate(LAYERS):
+                base, low, delta = alive[3 * i:3 * i + 3]
+                assert base == ("pre" in kept[name]), (which, name)
+                # a padded x A^T (rank 2 on the output layer) is copied out whole, and the copy kept
+                whole = adapter.entries[f"{name}.weight"].rank % COL_GROUP == 0
+                assert low == ("u" in kept[name] and whole), (which, name)
+                assert not delta, (which, name)
+            tape.backward(loss)
+        assert all(np.any(p.grad != 0.0) for p in params), which
 
 
 @pytest.mark.parametrize("m", [3, 600], ids=["whole", "blocked"])

@@ -94,6 +94,22 @@ def test_ema_validation():
         ema_update(shadow, adapter.trainable_params()[:1], 0.5)
 
 
+def test_ema_shape_error_leaves_the_shadow_untouched():
+    net = fresh_net(seed=9)
+    adapter = attach(net, rank=2, stream=substream(10, "l"), cap_rank=True)
+    shadow = EmaShadow(adapter)
+    params = adapter.trainable_params()
+    for p in params:
+        p.data[:] = substream(11, "live").normal(p.shape)
+    before = [t.data.copy() for t in shadow.params]
+    # every factor but the last fits, so an update checked factor by factor
+    # would have written all of them before it raised
+    with pytest.raises(ValueError):
+        ema_update(shadow, [*params[:-1], Tensor(np.ones(3))], 0.5)
+    for old, t in zip(before, shadow.params):
+        assert np.array_equal(t.data, old)
+
+
 def test_ema_shadow_initialized_to_live_params():
     net = fresh_net(seed=11)
     adapter = attach(net, rank=2, stream=substream(12, "l"), cap_rank=True)
@@ -525,6 +541,47 @@ def test_consistency_loss_gradient_every_parameter():
     assert rel < 1e-4
 
 
+@pytest.mark.parametrize("loss", ["teacher", "style", "distill"])
+def test_taped_network_node_gradients(loss):
+    # the network's tape node under each training loss at a small size: the
+    # teacher's over every parameter, the style and distillation losses over
+    # the factors of an adapter at scale 0.5
+    sched = make_schedule(50)
+    net = DenoiserNet(data_dim=2, hidden=(16, 16), num_conditions=8,
+                      stream=substream(0, "init/net"))
+    stream = substream(0, "test/gc")
+    for name, p in net.params.items():
+        if name.endswith(".weight") and np.all(p.data == 0.0):
+            p.data[:] = 0.2 * stream.normal(p.shape)
+    batch = 4
+    n = stream.integers(batch, 1, sched.N)
+    cond = stream.integers(batch, 0, 8)
+    eps = stream.normal((batch, 2))
+    from cdlora.schedule import add_noise
+    z = add_noise(stream.normal((batch, 2)), n, eps, sched)
+    if loss == "teacher":
+        params = list(net.params.values())
+        objective = functools.partial(training.diffusion_loss, net, z, eps, cond, sched.t_of(n))
+    else:
+        adapter = attach(net, rank=2, scale=0.5, stream=substream(0, "init/lora"), cap_rank=True)
+        for e in adapter.entries.values():
+            e.b.data[:] = 0.05 * stream.normal(e.b.shape)
+        params = adapter.trainable_params()
+        objective = functools.partial(training.diffusion_loss, net, z, eps, cond, sched.t_of(n),
+                                      adapter=adapter)
+    if loss == "distill":
+        head, cfg = ConsistencyHead.for_schedule(sched), DistillConfig()
+        n = stream.integers(batch, 1, sched.N - cfg.k)
+        omega = np.full(batch, cfg.omega_fixed)
+        z_hi = add_noise(stream.normal((batch, 2)), n + cfg.k, stream.normal((batch, 2)), sched)
+        batch_args = (z_hi, n, cond, omega)
+        target = training._distill_target(net, head, sched, cfg, *batch_args, adapter)
+        objective = functools.partial(training._distill_loss, net, head, sched, cfg, *batch_args,
+                                      target, adapter)
+    from cdlora.tensor import grad_check
+    assert grad_check(objective, params, h=1e-5) < 1e-4
+
+
 def test_distill_loss_trends_down(trained_teacher):
     net, sched, ds = trained_teacher
     _, _, metrics = make_distilled(net, sched, ds, steps=800)
@@ -617,6 +674,56 @@ def test_adam_and_sgd_move_params():
     p.grad = np.ones(3)
     adam.step([p])
     assert np.all(p.data < 0.9)
+
+
+def test_optimizers_and_ema_update_in_place_with_the_reference_formulas():
+    # each update writes into the arrays it updates, with the bits of the
+    # out-of-place formula; a parameter without a gradient in a step keeps
+    # its value and its Adam moments
+    stream = substream(70, "test/opt")
+    shapes = [(3, 4), (4,), (2, 5)]
+    grads = [[stream.normal(s) for s in shapes] for _ in range(3)]
+    grads[1][1] = None
+    start = [stream.normal(s) for s in shapes]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    want = [x.copy() for x in start]
+    for t, step_grads in enumerate(grads, 1):
+        for i, g in enumerate(step_grads):
+            if g is None:
+                continue
+            m[i] = training.ADAM_BETA1 * m[i] + (1.0 - training.ADAM_BETA1) * g
+            v[i] = training.ADAM_BETA2 * v[i] + (1.0 - training.ADAM_BETA2) * g * g
+            want[i] = want[i] - 0.01 * (m[i] / (1.0 - training.ADAM_BETA1 ** t)) / (
+                np.sqrt(v[i] / (1.0 - training.ADAM_BETA2 ** t)) + training.ADAM_EPS)
+    params = [Tensor(x.copy(), requires_grad=True) for x in start]
+    arrays = [p.data for p in params]
+    adam = Adam(0.01)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad = g
+        adam.step(params)
+    for p, a, w in zip(params, arrays, want):
+        assert p.data is a and np.array_equal(p.data, w)
+
+    sgd = [Tensor(x.copy(), requires_grad=True) for x in start]
+    arrays = [p.data for p in sgd]
+    for p, g in zip(sgd, grads[1]):
+        p.grad = g
+    Sgd(0.1).step(sgd)
+    for p, a, x, g in zip(sgd, arrays, start, grads[1]):
+        assert p.data is a and np.array_equal(p.data, x if g is None else x - 0.1 * g)
+
+    net = fresh_net(seed=71)
+    adapter = attach(net, rank=2, stream=substream(72, "l"), cap_rank=True)
+    shadow = EmaShadow(adapter)
+    for p in adapter.trainable_params():
+        p.data[:] = stream.normal(p.shape)
+    before = [t.data.copy() for t in shadow.params]
+    arrays = [t.data for t in shadow.params]
+    ema_update(shadow, adapter.trainable_params(), 0.95)
+    for t, a, old, p in zip(shadow.params, arrays, before, adapter.trainable_params()):
+        assert t.data is a and np.array_equal(t.data, 0.95 * old + (1.0 - 0.95) * p.data)
 
 
 def test_encoder_roundtrip():

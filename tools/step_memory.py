@@ -10,9 +10,12 @@ end. For each phase it prints, over the steps after the first WARMUP:
   step began; the arrays that the training loop's ArrayPool keeps from the
   step before count as live, so this is what a step allocates beyond them;
 - minor faults: minor page faults per step (`getrusage`), from a separate pass
-  without tracemalloc, since tracemalloc's own bookkeeping moves the heap.
+  without tracemalloc, since tracemalloc's own bookkeeping moves the heap;
+- tape nodes: the nodes on the step's gradient tape when backward starts, from
+  the same pass. A taped denoiser forward is one node, so a teacher step reads
+  the network plus the loss's few primitives.
 
-A sampling phase then measures the same two figures per call, over the calls
+A sampling phase then measures the first two figures per call, over the calls
 after the first of SAMPLE_CALLS, for one guided 50-step `ddim_sample` and one
 4-step `lcm_multistep_sample` through a fresh rank-8 adapter, each of the
 config's `sample.count` points from the short teacher.
@@ -42,6 +45,7 @@ from cdlora import (
     DenoiserNet,
     DistillConfig,
     Encoder,
+    GradTape,
     StepSchedule,
     TrainOpts,
     attach,
@@ -92,26 +96,38 @@ class StepProbe:
 
 
 def _probe(run, steps: int, warmup: int = WARMUP) -> tuple:
-    """Run the phase twice, untraced for faults and traced for memory peaks."""
+    """Run the phase twice, untraced for faults and tape nodes, traced for memory peaks."""
+    nodes = []
+    backward = GradTape.backward
+
+    def counted(tape, loss):
+        nodes.append(len(tape._nodes))
+        return backward(tape, loss)
+
     plain = StepProbe()
-    run(steps, plain)
+    GradTape.backward = counted
+    try:
+        run(steps, plain)
+    finally:
+        GradTape.backward = backward
     tracemalloc.start()
     try:
         traced = StepProbe()
         run(steps, traced)
     finally:
         tracemalloc.stop()
-    return traced.peaks_mb[warmup:], plain.faults[warmup:]
+    return traced.peaks_mb[warmup:], plain.faults[warmup:], nodes[warmup:]
 
 
 def _print_table(unit: str, rows) -> None:
-    """One line per (name, run, count, warmup): peak MB and faults per unit."""
+    """One line per (name, run, count, warmup): peak MB, faults and tape nodes per unit."""
     print(f"{'phase':<13}  {unit + 's':>5}  {unit + ' peak MB (median, max)':>26}  "
-          f"{'minor faults per ' + unit + ' (median, max)':>35}")
+          f"{'minor faults per ' + unit + ' (median, max)':>35}  {'tape nodes':>10}")
     for name, run, count, warmup in rows:
-        peaks, faults = _probe(run, count, warmup)
+        peaks, faults, nodes = _probe(run, count, warmup)
         print(f"{name:<13}  {len(peaks):>5}  {statistics.median(peaks):>17.2f}  {max(peaks):>6.2f}  "
-              f"{statistics.median(faults):>26.0f}  {max(faults):>6d}")
+              f"{statistics.median(faults):>26.0f}  {max(faults):>6d}  "
+              f"{statistics.median(nodes) if nodes else 0:>10.0f}")
 
 
 def main() -> None:
