@@ -11,6 +11,7 @@ identifiers that the adapter and checkpoint modules key off.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import numpy as np
 
 from cdlora.schedule import NoiseSchedule
 from cdlora.tensor import (
+    SILU_ERRSTATE,
     NonFiniteError,
     Tensor,
     _copy,
@@ -130,11 +132,12 @@ class _TapedLayer:
         if not self.hidden:
             return np.add(y, self.bias.data, out=dst)
         y += self.bias.data
-        den = silu_den(y, empty(y.shape))
+        with np.errstate(**SILU_ERRSTATE):
+            den = silu_den(y, empty(y.shape))
+            out = np.divide(y, den, out=empty(y.shape))
         if self.y_grad:
             self.pre, self.den = y, den
-        with np.errstate(under="ignore"):
-            return np.divide(y, den, out=empty(y.shape))
+        return out
 
     def backward(self, g: np.ndarray, grads: dict):
         """Add the gradients of the parameters that need one to grads, given
@@ -167,17 +170,32 @@ class _TapedLayer:
         return gx
 
 
+@functools.cache
+def _frequencies(half: int) -> np.ndarray:
+    """The geometric frequencies 1 .. 1000 of a sinusoidal table with half sin columns."""
+    freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def sinusoidal_table(x, dim: int) -> tuple:
     """(table, rows): sin/cos features at geometric frequencies of the
     distinct values of a scalar signal, and each element's row in the table.
 
-    table[rows] is the (m, dim) feature matrix; sin/cos run once per distinct
-    value, so a batch that shares one timestep or guidance scale pays for one row.
+    table[rows] is the (m, dim) feature matrix. sin/cos run once per distinct
+    value, so a batch that shares one timestep or guidance scale pays for one
+    row; such a one-value signal (a broadcast scalar, the teacher's omega = 0)
+    skips np.unique's sort, and its rows are all 0. A signal with a NaN is
+    never one-valued (NaN != NaN), and an Inf gives a NaN feature, so either
+    reaches the caller's finiteness scan. The frequencies are built once per
+    width.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    half = dim // 2
-    freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
-    values, rows = np.unique(x, return_inverse=True)
+    freqs = _frequencies(dim // 2)
+    if x.size and np.all(x == x[0]):
+        values, rows = x[:1], np.zeros(x.shape, dtype=np.intp)
+    else:
+        values, rows = np.unique(x, return_inverse=True)
     ang = values[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1), rows
 
@@ -354,47 +372,57 @@ class DenoiserNet:
     def _blocked_forward(self, z, t_feats, g_feats, cond, adapter) -> np.ndarray:
         """The forward off the tape, over near-equal row blocks of at most BLOCK_ROWS rows.
 
-        t_feats and g_feats are sinusoidal_table pairs; each block gathers its
-        own feature rows from the distinct-value tables. The weights are
-        padded once per call, and the blocks run through a few buffers taken
-        once per call from tensor.empty: tensor.product writes into them, then the
-        adapter delta, the bias and SiLU (through tensor.silu_den) apply in
-        place, in the primitives' order of operations, so the bits are the
-        primitives' bits. Each block's output layer writes the block's rows
-        of the returned (m, data_dim) array; no whole-batch activation exists.
+        t_feats and g_feats are sinusoidal_table pairs. Once per call, the
+        weights are padded and time_proj and guidance_proj (adapter delta and
+        bias included) run over the distinct-value tables, so a batch that
+        shares one timestep pays for one projected row. A one-row table is
+        widened to two rows, because numpy hands a one-row product to gemv,
+        which rounds differently. Per block, the block's rows of the
+        projected tables and of cond_table are gathered into layer 0's input,
+        and the layers run through a few buffers taken once per call from
+        tensor.empty: tensor.product writes into them, then the adapter delta,
+        the bias and SiLU (through tensor.silu_den) apply in place, in the
+        primitives' order of operations, so the bits are the primitives'
+        bits. Each block's output layer writes the block's rows of the
+        returned (m, data_dim) array; no whole-batch activation exists.
         """
         m = z.shape[0]
         names = ("time_proj", "guidance_proj", *(f"layer{i}" for i in range(self.n_layers)))
         layers = [self._padded_layer(name, adapter) for name in names]
         proj, hidden_layers, last = layers[:2], layers[2:-1], layers[-1]
+        projected = []
+        for (values, idx), layer in zip((t_feats, g_feats), proj):
+            if values.shape[0] == 1:
+                values = np.concatenate([values, values])
+            projected.append((_affine(values, layer, None, None, None), idx))
         parts = -(-m // BLOCK_ROWS)
         size = -(-m // parts)  # rows of the largest block
-        width = max(w.shape[1] for w, _, _, _ in layers)
-        rank = max((lora[0].shape[1] for _, _, _, lora in layers if lora is not None), default=0)
+        width = max(w.shape[1] for w, _, _, _ in layers[2:])
+        rank = max((lora[0].shape[1] for _, _, _, lora in layers[2:] if lora is not None), default=0)
         x = empty((size, layers[2][0].shape[0]))
-        feats = empty(size * max(self.time_dim, self.guidance_dim))
         acts = (empty(size * width), empty(size * width))
         # an adapter delta is spent before the SiLU denominator is needed
         scratch = empty(size * width)
         low = empty(size * rank)
         eps = empty((m, self.data_dim))
         table = self.params["cond_table"].data
-        blocks = (np.array_split(a, parts) for a in (eps, z, t_feats[1], g_feats[1], cond))
-        for dst, zb, tb, gb, cb in zip(*blocks):
-            r = zb.shape[0]
-            h = x[:r]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
-            c = self.data_dim
-            h[:, :c] = zb
-            # the ids are in range, and mode="clip" lets np.take write into out unbuffered
-            for (values, idx), layer in zip(((t_feats[0], tb), (g_feats[0], gb)), proj):
-                f = np.take(values, idx, axis=0, out=_rows(feats, r, values.shape[1]), mode="clip")
-                _affine(f, layer, acts[0], low, scratch, dst=h[:, c:c + layer[1]])
-                c += layer[1]
-            np.take(table, cb, axis=0, out=h[:, c:], mode="clip")
-            for i, layer in enumerate(hidden_layers):
-                h = _affine(h, layer, acts[i % 2], low, scratch)
-                h /= silu_den(h, _rows(scratch, r, layer[1]))
-            _affine(h, last, acts[len(hidden_layers) % 2], low, scratch, dst=dst)
+        # np.array_split's blocks, the first m % parts one row longer, as slices
+        bounds = [b * (m // parts) + min(b, m % parts) for b in range(parts + 1)]
+        with np.errstate(**SILU_ERRSTATE):
+            for lo, hi in zip(bounds, bounds[1:]):
+                r = hi - lo
+                h = x[:r]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
+                c = self.data_dim
+                h[:, :c] = z[lo:hi]
+                # the ids are in range, and mode="clip" lets np.take write into out unbuffered
+                for rows, idx in projected:
+                    np.take(rows, idx[lo:hi], axis=0, out=h[:, c:c + rows.shape[1]], mode="clip")
+                    c += rows.shape[1]
+                np.take(table, cond[lo:hi], axis=0, out=h[:, c:], mode="clip")
+                for i, layer in enumerate(hidden_layers):
+                    h = _affine(h, layer, acts[i % 2], low, scratch)
+                    h /= silu_den(h, _rows(scratch, r, layer[1]))
+                _affine(h, last, acts[len(hidden_layers) % 2], low, scratch, dst=eps[lo:hi])
         return eps
 
     def _taped_forward(self, z, t_feats, g_feats, cond, adapter) -> Tensor:
@@ -457,19 +485,23 @@ class DenoiserNet:
     def forward(self, z, omega, cond, t, adapter=None) -> Tensor:
         """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row.
 
-        Off the tape, a batch of more than BLOCK_ROWS rows runs every layer
-        over near-equal row blocks of at most BLOCK_ROWS rows, so each
-        block's activations stay in cache. The blocks skip the primitives:
-        they run in place through buffers allocated once per call
-        (_blocked_forward), with the primitives' arithmetic, and write the
-        output rows straight into the result. Every forward product pads its
-        right operand to whole 8-column groups (tensor.product), which gives
-        the same bits for any block of 2 or more rows as for the whole batch
-        (tests/test_denoiser.py checks this). On the tape, the whole batch
-        runs the same layer arithmetic and is recorded as one node
-        (_taped_forward), whose gradients equal the per-op graph's bit for
-        bit. Off the tape, a batch of at most BLOCK_ROWS rows runs through
-        the primitives (_trunk and _dense).
+        Once per call, t and omega become sinusoidal tables of their distinct
+        values (sinusoidal_table), and one finiteness scan covers z and those
+        tables. Off the tape, a batch of more than BLOCK_ROWS rows then runs
+        through _blocked_forward: the time and guidance projections run once
+        per call over the tables' rows, and every other layer over near-equal
+        row blocks of at most BLOCK_ROWS rows, so each block's activations
+        stay in cache. The blocks skip the primitives: they run in place
+        through buffers allocated once per call, with the primitives'
+        arithmetic, and write the output rows straight into the result.
+        Every forward product pads its right operand to whole 8-column groups
+        (tensor.product), which gives the same bits for any block of 2 or
+        more rows as for the whole batch (tests/test_denoiser.py checks
+        this). On the tape, the whole batch, one row per input row, runs the
+        same layer arithmetic and is recorded as one node (_taped_forward),
+        whose gradients equal the per-op graph's bit for bit. Off the tape, a
+        batch of at most BLOCK_ROWS rows runs through the primitives (_trunk
+        and _dense), also one row per input row.
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.data_dim:

@@ -127,11 +127,11 @@ def ddim_sample(
     if np.any(omega_arr > 0.0):
         # both branches in one pass of 2 * count rows, as in cfg_target
         ids = np.concatenate([cond_arr, np.full(count, net.null_id, dtype=np.int64)])
-        eps = eps_fn(np.concatenate([z, z]), np.full(2 * count, t_last), ids)
+        eps = eps_fn(np.concatenate([z, z]), t_last, ids)
         eps_c, eps_u = eps[:count], eps[count:]
         eps_c = eps_c + omega_arr[:, None] * (eps_c - eps_u)
     else:
-        eps_c = eps_fn(z, np.full(count, t_last), cond_arr)
+        eps_c = eps_fn(z, t_last, cond_arr)
     return recover_x0(z, n_last, eps_c, sched)
 
 
@@ -145,7 +145,8 @@ BLOCK_ENTRIES = 2 ** 16
 # most pair values the median gathers for its final partition (8 MB); a
 # fuller middle bucket of the radix select is first narrowed by the next 16 bits
 MEDIAN_CAP = 2 ** 20
-# pairs drawn to place the median's window (512 KB of values)
+# pairs drawn to place the median's window (512 KB of values) up to about
+# 4,000 rows a side, and the pairs drawn at a time beyond that
 MEDIAN_DRAWS = 2 ** 16
 
 
@@ -280,26 +281,38 @@ def _median_window(x: np.ndarray, y: np.ndarray, total: int):
     sweep may gather from it; None when no such range fits in MEDIAN_CAP.
 
     With at most MEDIAN_DRAWS pairs the range is everything. Otherwise it
-    spans 4 standard deviations of rank either side of the middle of
-    MEDIAN_DRAWS pairs drawn uniformly from the pooled sample's distinct
+    spans 4 standard deviations of rank, 2 sqrt(draws), either side of the
+    middle of draws pairs drawn uniformly from the pooled sample's distinct
     pairs; drawn, not strided, so that no order of the rows (samples laid out
     by condition, say) can bias it. Its room is twice the pairs it is
-    expected to hold, total / 32, so past about 4,000 rows a side it would
-    not fit.
+    expected to hold, 8 total / sqrt(draws). Up to about 4,000 rows a side
+    draws is MEDIAN_DRAWS (room total / 32); past that it grows as the square
+    of the pooled pair count, so that the room stays within MEDIAN_CAP
+    (302,500 draws at 6,000 a side), until past about 8,000 rows a side the
+    draws themselves would pass MEDIAN_CAP. The pairs are drawn MEDIAN_DRAWS
+    at a time, so the draws' temporaries stay the size of one chunk.
     """
-    draws = MEDIAN_DRAWS
-    half = 2 * math.isqrt(draws)
-    room = total if total <= draws else -(-4 * half * total // draws)
-    if room > MEDIAN_CAP:
-        return None
-    if total <= draws:
-        return -math.inf, math.inf, room
+    if total <= MEDIAN_DRAWS:
+        return (-math.inf, math.inf, total) if total <= MEDIAN_CAP else None
+    if 8 * total > MEDIAN_CAP * math.isqrt(MEDIAN_CAP):
+        return None   # even MEDIAN_CAP draws would leave more than MEDIAN_CAP of room
+    # the fewest draws, a square of at least MEDIAN_DRAWS, whose room fits
+    side = max(math.isqrt(MEDIAN_DRAWS), -(-8 * total // MEDIAN_CAP))
+    draws, half = side * side, 2 * side
+    room = -(-8 * total // side)
     pooled = np.concatenate([x, y])
     stream = substream(0, "median-window")
-    i = stream.integers(draws, 0, len(pooled) - 1)
-    j = (i + stream.integers(draws, 1, len(pooled) - 1)) % len(pooled)
-    diff = np.take(pooled, i, axis=0) - np.take(pooled, j, axis=0)
-    sq = np.einsum("ij,ij->i", diff, diff)
+    chunks = []
+    for start in range(0, draws, MEDIAN_DRAWS):
+        count = min(MEDIAN_DRAWS, draws - start)
+        i = stream.integers(count, 0, len(pooled) - 1)
+        j = (i + stream.integers(count, 1, len(pooled) - 1)) % len(pooled)
+        diff = np.take(pooled, i, axis=0) - np.take(pooled, j, axis=0)
+        chunks.append(np.einsum("ij,ij->i", diff, diff))
+    # one chunk (up to 4,000 a side) is used as drawn: copying it into a
+    # buffer for all draws raised mmd2's minor page faults per call at 2,000
+    # a side from about 950 to 1,380
+    sq = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     edges = [draws // 2 - half, draws // 2 + half]
     sq.partition(edges)
     return float(sq[edges[0]]), float(sq[edges[1]]), room

@@ -6,7 +6,10 @@ approximates the probability-flow solution at t_lo, and psi(z, n, n, c) = 0
 exactly. This makes the guidance combination
     z + (1 + w) * psi_cond - w * psi_null
 well defined as written. Timestep arguments may be scalars or one index per
-batch row.
+batch row. A scalar index stays 0-d: alpha, sigma, log-SNR and the t handed
+to eps_fn are looked up once per call and broadcast over the rows, while a
+per-row index looks them up once per row. Both forms run the same code and
+give the same bits, since each row's arithmetic is the same either way.
 
 The second-order step works in log-SNR time lambda = log(alpha/sigma) with
 h = lambda_lo - lambda_hi. Writing the exact-integration update for an
@@ -28,14 +31,23 @@ from cdlora.schedule import NoiseSchedule, ScheduleError, add_noise, recover_x0
 SOLVER_KINDS = ("ddim", "dpm2", "ddim-multi")
 
 
+def _index(n, m: int) -> np.ndarray:
+    """n as an int64 index: 0-d for a scalar, else broadcast to one per row of m."""
+    n = np.asarray(n, dtype=np.int64)
+    return n if n.ndim == 0 else np.broadcast_to(n, (m,))
+
+
 def _as_rows(z, n_hi, n_lo):
     z = np.asarray(z, dtype=np.float64)
-    m = z.shape[0]
-    hi = np.broadcast_to(np.asarray(n_hi, dtype=np.int64), (m,))
-    lo = np.broadcast_to(np.asarray(n_lo, dtype=np.int64), (m,))
+    hi, lo = _index(n_hi, z.shape[0]), _index(n_lo, z.shape[0])
     if np.any(lo > hi):
         raise ScheduleError("solver needs n_lo <= n_hi")
     return z, hi, lo
+
+
+def _twice(n: np.ndarray) -> np.ndarray:
+    """An index of _as_rows for the 2m rows of two stacked copies of the batch."""
+    return n if n.ndim == 0 else np.concatenate([n, n])
 
 
 def ddim_increment(z, n_hi, n_lo, eps_hat, sched: NoiseSchedule) -> np.ndarray:
@@ -65,9 +77,10 @@ def dpm2_increment(z, n_hi, n_lo, eps_fn, sched: NoiseSchedule) -> np.ndarray:
     a_lo, s_lo = sched.alpha(lo), sched.sigma(lo)
 
     eps_hi = np.asarray(eps_fn(z, sched.t_of(hi)), dtype=np.float64)
-    z_mid = (a_mid / a_hi)[:, None] * z - (s_mid * np.expm1(0.5 * h))[:, None] * eps_hi
+    # [..., None]: a column for per-row coefficients, a length-1 axis for scalar ones
+    z_mid = (a_mid / a_hi)[..., None] * z - (s_mid * np.expm1(0.5 * h))[..., None] * eps_hi
     eps_mid = np.asarray(eps_fn(z_mid, t_mid), dtype=np.float64)
-    z_lo = (a_lo / a_hi)[:, None] * z - (s_lo * np.expm1(h))[:, None] * eps_mid
+    z_lo = (a_lo / a_hi)[..., None] * z - (s_lo * np.expm1(h))[..., None] * eps_mid
     out = z_lo - z
     out[hi == lo] = 0.0
     return out
@@ -137,8 +150,8 @@ def cfg_target(z, n_hi, n_lo, cond, null_cond, omega, eps_fn, sched: NoiseSchedu
         psi_c = solver_increment(kind, z, hi, lo, lambda x, t: eps_fn(x, t, cond_arr), sched)
         return z + psi_c
     ids = np.concatenate([cond_arr, np.full(m, null_cond, dtype=np.int64)])
-    psi = solver_increment(kind, np.concatenate([z, z]), np.concatenate([hi, hi]),
-                           np.concatenate([lo, lo]), lambda x, t: eps_fn(x, t, ids), sched)
+    psi = solver_increment(kind, np.concatenate([z, z]), _twice(hi), _twice(lo),
+                           lambda x, t: eps_fn(x, t, ids), sched)
     psi_c, psi_u = psi[:m], psi[m:]
     return z + psi_c + omega_arr[:, None] * (psi_c - psi_u)
 
@@ -186,6 +199,6 @@ def oracle_flow(z, n_hi, n_lo, oracle: GaussianOracle, sched: NoiseSchedule) -> 
     mean = np.asarray(oracle.mean, dtype=np.float64)
     g_hi = oracle.gamma(sched.alpha(hi), sched.sigma(hi))
     g_lo = oracle.gamma(sched.alpha(lo), sched.sigma(lo))
-    a_hi = sched.alpha(hi)[:, None]
-    a_lo = sched.alpha(lo)[:, None]
-    return a_lo * mean + (g_lo / g_hi)[:, None] * (z - a_hi * mean)
+    a_hi = sched.alpha(hi)[..., None]
+    a_lo = sched.alpha(lo)[..., None]
+    return a_lo * mean + (g_lo / g_hi)[..., None] * (z - a_hi * mean)

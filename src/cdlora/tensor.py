@@ -386,16 +386,21 @@ def neg(a: Tensor) -> Tensor:
     return _record(np.negative(a.data, out=empty(a.shape)), (a,), bwd)
 
 
+# exp(-x) overflows to the exact limit inf, and x / den may underflow to 0
+SILU_ERRSTATE = {"over": "ignore", "under": "ignore"}
+
+
 def silu_den(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write SiLU's denominator 1 + exp(-x) into out and return out.
 
     silu(x) = x / den and sigmoid(x) = 1 / den keep full relative precision
     for either sign. Below x = -709.78, exp(-x) overflows to inf, which is the
-    exact limit: x / inf is -0.0 and 1 / inf is 0.0.
+    exact limit: x / inf is -0.0 and 1 / inf is 0.0. The caller enters
+    np.errstate(**SILU_ERRSTATE) once around its SiLU work, so a loop that
+    calls this per block pays for the context once.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        np.negative(x, out=out)
-        np.exp(out, out=out)
+    np.negative(x, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return out
 
@@ -417,8 +422,8 @@ def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x) = x / (1 + exp(-x)) with one exp; the backward
     (silu_grad) reuses the denominator."""
     x = a.data
-    den = silu_den(x, empty(x.shape))
-    with np.errstate(under="ignore"):
+    with np.errstate(**SILU_ERRSTATE):
+        den = silu_den(x, empty(x.shape))
         y = np.divide(x, den, out=empty(x.shape))
     return _record(y, (a,), lambda g: (silu_grad(x, den, g),))
 

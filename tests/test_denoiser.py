@@ -136,6 +136,38 @@ def test_sinusoidal_features_equal_direct_formula():
         assert np.array_equal(table[rows], direct), name
 
 
+@pytest.mark.parametrize("x", [0.25, np.broadcast_to(0.4, (600,)), np.full(256, 7.5 / 10.0),
+                               np.zeros(3)], ids=["scalar", "broadcast", "full", "zeros"])
+def test_one_value_sinusoidal_table_equals_the_unique_path(x):
+    # a one-value signal skips np.unique; its table and rows are the ones np.unique gives
+    freqs = np.exp(np.linspace(0.0, np.log(1000.0), 8))
+    values, inverse = np.unique(np.atleast_1d(x), return_inverse=True)
+    ang = values[:, None] * freqs[None, :]
+    table, rows = sinusoidal_table(x, 16)
+    assert np.array_equal(table, np.concatenate([np.sin(ang), np.cos(ang)], axis=1))
+    assert table.shape == (1, 16)
+    assert np.array_equal(rows, inverse) and rows.dtype == inverse.dtype
+
+
+@pytest.mark.parametrize("m", [3, 600], ids=["whole", "blocked"])
+@pytest.mark.parametrize("where,bad", [("t", np.nan), ("t", np.inf), ("omega", np.nan),
+                                       ("omega", np.inf)])
+def test_one_value_non_finite_signal_raises(m, where, bad):
+    # a NaN or Inf shared by every row reaches the finiteness scan through
+    # the one-value table, scalar or per row, on and off the tape
+    net, _ = _busy_net(44)
+    z = substream(45, "test/one-value").normal((m, 2))
+    for value in (bad, np.full(m, bad)):
+        inputs = {"omega": 7.5, "t": 0.5, where: value}
+        for tape in (False, True):
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+                if tape:
+                    with GradTape():
+                        net.forward(z, inputs["omega"], 0, inputs["t"])
+                else:
+                    net.forward(z, inputs["omega"], 0, inputs["t"])
+
+
 def _busy_net(seed, scale=None, rank=8, hidden=(128, 128, 128)):
     """A net with a random last layer, and with an adapter of `rank` at
     `scale` unless scale is None."""
@@ -174,7 +206,10 @@ def test_blocked_forward_equals_whole_batch_on_tape(m, net_id):
     stream = substream(42, "test/blocked")
     z = stream.normal((m, 2))
     per_row = (14.0 * stream.uniform(m), stream.integers(m, 0, net.null_id), stream.uniform(m))
-    for omega, cond, t in (per_row, (7.5, 3, 0.4)):
+    # the distillation teacher target's inputs: t on the N = 50 grid, so few
+    # distinct values over many rows, and one omega given per row
+    grid = (np.full(m, 7.5), stream.integers(m, 0, net.null_id), stream.integers(m, 1, 50) / 50)
+    for omega, cond, t in (per_row, grid, (7.5, 3, 0.4)):
         off_tape = net.forward(z, omega, cond, t, adapter=adapter).data
         with GradTape():
             whole = net.forward(z, omega, cond, t, adapter=adapter)
@@ -198,6 +233,34 @@ def test_blocked_forward_holds_no_whole_batch_activation(scale):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("scale", [None, 1.0], ids=["base", "rank8"])
+def test_blocked_forward_projects_each_distinct_value_once(monkeypatch, scale):
+    # 4,000 rows run as 16 blocks of 250; time_proj and guidance_proj
+    # multiply once per call, over max(2, distinct) rows of their tables
+    # (a one-row table is widened to two), and the blocks gather their rows
+    net, adapter = _busy_net(52, scale)
+    product = cdlora.denoiser.product
+    rows = []
+
+    def product_rows(a, b, *args, **kwargs):
+        rows.append(a.shape[0])
+        return product(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(cdlora.denoiser, "product", product_rows)
+    m = 4000
+    stream = substream(53, "test/projections")
+    z = stream.normal((m, 2))
+    grid_t = stream.integers(m, 1, 50) / 50
+    two_omegas = np.where(stream.uniform(m) < 0.5, 0.0, 7.5)
+    per_layer = 1 if adapter is None else 3   # x W, and x A^T and (x A^T) B^T
+    for t, omega in ((0.4, 7.5), (grid_t, np.full(m, 7.5)), (np.full(m, 0.4), two_omegas)):
+        rows.clear()
+        net.forward(z, omega, 0, t, adapter=adapter)
+        distinct = [max(2, np.unique(np.atleast_1d(v)).size) for v in (t, omega)]
+        assert rows == ([distinct[0]] * per_layer + [distinct[1]] * per_layer
+                        + [250] * (16 * net.n_layers * per_layer))
 
 
 def test_only_off_tape_forwards_are_blocked(monkeypatch):

@@ -403,6 +403,56 @@ def test_mmd2_peak_memory_at_6000_per_side():
     assert peak <= 16e6
 
 
+def _window_draws(monkeypatch) -> list:
+    """The number of pairs each _median_window call draws, recorded as it runs."""
+    draws = []
+    real = sampling_eval.substream
+
+    def counted(seed, name):
+        stream = real(seed, name)
+        integers = stream.integers
+
+        def drawn(n, low, high):
+            draws[-1] += n / 2   # two draws, i and its offset, per pair
+            return integers(n, low, high)
+
+        draws.append(0)
+        stream.integers = drawn
+        return stream
+
+    monkeypatch.setattr(sampling_eval, "substream", counted)
+    return draws
+
+
+@pytest.mark.parametrize("side,draws", [(2000, sampling_eval.MEDIAN_DRAWS),
+                                        (4000, sampling_eval.MEDIAN_DRAWS), (6000, 550 ** 2)])
+def test_median_window_draws_scale_past_4000_per_side(monkeypatch, side, draws):
+    # up to 4,000 a side the draws are MEDIAN_DRAWS, as they always were;
+    # beyond, they grow so that the window's room stays within MEDIAN_CAP
+    x, y = np.zeros((side, 2)), np.ones((side, 2))
+    seen = _window_draws(monkeypatch)
+    total = (2 * side) * (2 * side - 1) // 2
+    _, _, room = sampling_eval._median_window(x, y, total)
+    assert seen == [draws]
+    assert room <= sampling_eval.MEDIAN_CAP
+
+
+def test_median_window_holds_at_6000_per_side(monkeypatch):
+    # 12,000 pooled rows make 72M pairs: the window still holds the middle
+    # ranks, so neither median_bandwidth nor mmd2 runs the radix select
+    x, y = substream(59, "x").normal((6000, 2)), substream(60, "y").normal((6000, 2))
+    total = 6000 * 6000 + 6000 * 5999
+    ranks = np.array([total // 2 - 1, total // 2])
+    expected = float(np.sqrt(sampling_eval._radix_median_sq(x, y, ranks)))
+
+    def radix_fails(*args):
+        raise AssertionError("the radix select ran")
+
+    monkeypatch.setattr(sampling_eval, "_radix_median_sq", radix_fails)
+    assert median_bandwidth(x, y) == expected
+    assert np.isfinite(mmd2(x, y))
+
+
 def test_mmd2_all_ties_equals_pooled_reference_in_bounded_memory():
     # every middle pair has one bit pattern, so the median narrows through all four levels
     x = np.tile([[0.3, -1.2]], (2000, 1))

@@ -252,6 +252,51 @@ def test_per_row_indices():
     np.testing.assert_array_equal(inc[1], np.zeros(2))
 
 
+@pytest.mark.parametrize("kind", ["ddim", "dpm2", "ddim-multi"])
+def test_scalar_and_per_row_indices_give_equal_targets(kind):
+    # a scalar index stays 0-d down to eps_fn's t, so a shared jump looks up
+    # its coefficients once; the result equals the per-row form's bit for bit
+    sched = make_schedule(50)
+    stream = substream(14, "scalar-index")
+    m = 6
+    z = stream.normal((m, 2))
+    cond = np.arange(m) % 3
+    shift = stream.normal((4, 2))
+    t_dims = []
+
+    def eps_fn(x, t, cond_ids):
+        t_dims.append(np.ndim(t))
+        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(x),))
+        return 0.2 * x + shift[cond_ids] * (1.0 + t_arr)[:, None]
+
+    for omega in (0.0, 7.5, np.linspace(0.0, 14.0, m)):
+        t_dims.clear()
+        scalar = cfg_target(z, 40, 33, cond, 3, omega, eps_fn, sched, kind=kind)
+        assert set(t_dims) == {0}
+        per_row = cfg_target(z, np.full(m, 40), np.full(m, 33), cond, 3, omega, eps_fn, sched,
+                             kind=kind)
+        assert set(t_dims) == {0, 1}
+        assert np.array_equal(scalar, per_row)
+
+
+def test_scalar_and_per_row_indices_give_equal_increments():
+    sched = make_schedule(50)
+    oracle = GaussianOracle(np.array([1.0, -2.0]), 0.7)
+    stream = substream(15, "scalar-index")
+    m = 5
+    z = stream.normal((m, 2))
+    eps = stream.normal((m, 2))
+    eps_fn = oracle.eps_fn(sched)
+    for n_hi, n_lo in ((40, 33), (40, np.full(m, 33)), (np.full(m, 40), 33), (21, 21)):
+        rows = np.full(m, n_hi), np.full(m, n_lo)
+        assert np.array_equal(ddim_increment(z, n_hi, n_lo, eps, sched),
+                              ddim_increment(z, *rows, eps, sched))
+        assert np.array_equal(dpm2_increment(z, n_hi, n_lo, eps_fn, sched),
+                              dpm2_increment(z, *rows, eps_fn, sched))
+        assert np.array_equal(oracle_flow(z, n_hi, n_lo, oracle, sched),
+                              oracle_flow(z, *rows, oracle, sched))
+
+
 def test_unknown_solver_kind():
     sched = make_schedule(50)
     with pytest.raises(ValueError):
