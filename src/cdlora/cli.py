@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -188,18 +189,24 @@ def cmd_sample(args) -> int:
     count = args.count
     if count < 1:
         raise ValueError(f"--count {count} must be at least 1")
+    try:
+        c = None if args.cond == "balanced" else int(args.cond)
+    except ValueError:
+        raise ValueError(f'--cond {args.cond!r} is neither a condition id nor "balanced"') from None
     ckpt = _resolve(args.ckpt)
     net, sched, meta = load_net(ckpt)
+    if not 1 <= args.steps <= sched.N:
+        raise ValueError(f"--steps {args.steps} outside [1, {sched.N}], the checkpoint's "
+                         f"timestep grid")
+    if c is not None and not 0 <= c < net.num_conditions:
+        raise ValueError(f"--cond {c} outside [0, {net.num_conditions}), the "
+                         f"checkpoint's condition ids")
     bundle = load_adapter(_resolve(args.adapter), base_net=net) if args.adapter else None
     adapter = bundle.adapter if bundle else None
     head = ConsistencyHead.for_schedule(sched, meta["sigma_data"])
-    if args.cond == "balanced":
+    if c is None:
         cond = np.arange(count, dtype=np.int64) % net.num_conditions
     else:
-        c = int(args.cond)
-        if not 0 <= c < net.num_conditions:
-            raise ValueError(f"--cond {c} outside [0, {net.num_conditions}), the "
-                             f"checkpoint's condition ids")
         cond = np.full(count, c, dtype=np.int64)
     if args.sampler == "lcm":
         steps = StepSchedule.evenly_spaced(args.steps, sched.N)
@@ -230,9 +237,12 @@ def cmd_eval(args) -> int:
     if args.dataset == "rotated":
         raise ValueError("--dataset rotated: give the base to --dataset, the angle to --angle-deg")
     samples, _cond = read_samples(_resolve(args.samples))
+    if args.count is None and len(samples) < 2:
+        raise ValueError(f"{args.samples}: mmd2 needs at least 2 sample rows, the file "
+                         f"holds {len(samples)}")
     count = len(samples) if args.count is None else args.count
-    if not 1 <= count <= len(samples):
-        raise ValueError(f"--count {count} outside [1, {len(samples)}], the rows in "
+    if not 2 <= count <= len(samples):   # mmd2 needs 2 rows per side
+        raise ValueError(f"--count {count} outside [2, {len(samples)}], the rows in "
                          f"{args.samples}")
     params = {}
     if args.angle_deg is not None:
@@ -260,6 +270,8 @@ def cmd_gradcheck(args) -> int:
         raise ValueError(f"--batch {args.batch} must be at least 1")
     if min(hidden) < 1:
         raise ValueError(f"--hidden {args.hidden!r}: every width must be an int of at least 1")
+    if not 0.0 < args.tolerance < math.inf:
+        raise ValueError(f"--tolerance {args.tolerance} must be a finite positive number")
     tic = time.perf_counter()
     rel = distill_grad_check(args.seed, hidden, args.rank, args.batch, args.h)
     seconds = time.perf_counter() - tic

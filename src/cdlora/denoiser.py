@@ -55,89 +55,79 @@ SIGMA_DATA = 0.5
 BLOCK_ROWS = 256
 
 
-def _rows(flat: np.ndarray, r: int, c: int) -> np.ndarray:
-    """Contiguous (r, c) view at the front of a flat buffer."""
-    return flat[: r * c].reshape(r, c)
+class _DenseLayer:
+    """One dense layer, y = x W + s (x A^T) B^T + b, then SiLU on a hidden
+    layer, in the per-op graph's (_dense's) order of operations.
 
-
-def _affine(x, layer, buf, low, scratch, dst=None) -> np.ndarray:
-    """x W + s (x A^T) B^T + b for one row block, in _dense's order of operations.
-
-    layer comes from DenoiserNet._padded_layer: every right operand is padded
-    to whole column groups and goes through tensor.product, like the matmul
-    primitive's forward. The base product fills the flat buffer buf, and the
-    adapter delta is added to it in place; low and scratch are flat buffers
-    for the rank-wide product and the delta. The bias is added in place and
-    the view of buf returned, or, given dst, written into dst.
-    """
-    w, n, b, lora = layer
-    y = product(x, w, n, out=buf)
-    if lora is not None:
-        at, rank, bt, scale = lora
-        delta = product(product(x, at, rank, out=low), bt, n, out=scratch)
-        if scale != 1.0:
-            delta *= scale
-        y += delta
-    if dst is None:
-        y += b
-        return y
-    return np.add(y, b, out=dst)
-
-
-class _TapedLayer:
-    """One dense layer of the taped forward, y = x W + s (x A^T) B^T + b, then
-    SiLU on a hidden layer: the per-op graph's arithmetic, keeping only what
-    its backward reads.
+    The right operands are padded once per forward (pad_cols), A^T and B^T
+    made contiguous first, as the transpose primitive makes them, and every
+    product goes through tensor.product, so any block of 2 or more rows gets
+    the bits of the same rows of the whole batch and of the per-op graph.
 
     x_grad says whether the layer's input needs a gradient (some parameter
     before the layer does); y_grad whether its output does (x_grad, or a
-    parameter of this layer does). The kept arrays are None where backward
-    never reads them: the input x for the gradients of W and A, x A^T (u) for
-    B's, W (wd) and A^T (at) for the input's, B^T (bt) for the gradient of u,
-    and a hidden layer's pre-activation and SiLU denominator, for the
-    network node's silu_grad, when y_grad.
+    parameter of this layer does); both are False off the tape. The kept
+    arrays are None where backward never reads them: the input x for the
+    gradients of W and A, x A^T (u) for B's, W (wd) and A^T (at) for the
+    input's, B^T (bt) for the gradient of u, and a hidden layer's
+    pre-activation and SiLU denominator, for the network node's silu_grad,
+    when y_grad.
     """
+
+    # a forward makes one per layer, and a taped one keeps them until backward
+    __slots__ = ("w", "bias", "entry", "params", "x_grad", "y_grad", "hidden", "n", "wp", "atp",
+                 "btp", "keep_x", "keep_u", "x", "wd", "at", "u", "bt", "pre", "den")
 
     def __init__(self, net: "DenoiserNet", name: str, adapter, x_grad: bool, hidden: bool):
         self.w = net.params[f"{name}.weight"]
         self.bias = net.params[f"{name}.bias"]
-        self.entry = None if adapter is None else adapter.entries.get(f"{name}.weight")
-        factors = () if self.entry is None else (self.entry.a, self.entry.b)
-        self.params = (self.w, self.bias, *factors)
+        e = self.entry = None if adapter is None else adapter.entries.get(f"{name}.weight")
+        self.params = (self.w, self.bias, *(() if e is None else (e.a, e.b)))
+        on_tape = taping()
         self.x_grad = x_grad
-        self.y_grad = x_grad or any(p.requires_grad for p in self.params)
+        self.y_grad = x_grad or (on_tape and any(p.requires_grad for p in self.params))
         self.hidden = hidden
-        self.x = self.wd = self.at = self.u = self.bt = self.pre = self.den = None
-
-    def forward(self, x: np.ndarray, dst=None) -> np.ndarray:
-        """The layer's output for the whole batch: into dst for an output or
-        projection layer, into a new array after SiLU for a hidden one."""
-        w, e = self.w.data, self.entry
-        keep_x = self.w.requires_grad or (e is not None and e.a.requires_grad)
-        self.x = x if keep_x else None
-        self.wd = w if self.x_grad else None
-        y = product(x, w)
+        self.n = self.w.shape[1]
+        self.wp = pad_cols(self.w.data)
+        self.wd = self.w.data if x_grad else None
+        a_grad = on_tape and e is not None and e.a.requires_grad
+        self.keep_x = (on_tape and self.w.requires_grad) or a_grad
+        self.keep_u = on_tape and e is not None and e.b.requires_grad
+        self.x = self.at = self.u = self.bt = self.pre = self.den = self.atp = self.btp = None
         if e is not None:
-            at = _copy(e.a.data.T)   # contiguous, as the transpose primitive makes it
-            u = product(x, at)
-            u = u if u.flags.c_contiguous else _copy(u)   # as the matmul primitive returns it
-            bt = _copy(e.b.data.T)
-            delta = product(u, bt)
+            at, bt = _copy(e.a.data.T), _copy(e.b.data.T)
+            self.atp, self.btp = pad_cols(at), pad_cols(bt)
+            self.at = at if x_grad else None
+            self.bt = bt if x_grad or a_grad else None
+
+    def forward(self, x, buf=None, low=None, scratch=None, dst=None) -> np.ndarray:
+        """The layer's rows for the input rows x, into dst when given.
+
+        Off the tape, each product fills a flat buffer from the front: buf
+        for x W, low for x A^T, scratch for the delta and then the SiLU
+        denominator; the delta, the bias and SiLU apply in place, so a hidden
+        layer returns a view of buf. On the tape no buffers are given: every
+        array comes from tensor.empty, so a kept pre-activation outlives SiLU.
+        """
+        e = self.entry
+        self.x = x if self.keep_x else None
+        y = product(x, self.wp, self.n, out=buf)
+        if e is not None:
+            u = product(x, self.atp, e.rank, out=low)
+            if self.keep_u:   # contiguous, as the matmul primitive returns it
+                self.u = u = u if u.flags.c_contiguous else _copy(u)
+            delta = product(u, self.btp, self.n, out=scratch)
             if e.scale != 1.0:
                 delta *= e.scale
             y += delta
-            self.at = at if self.x_grad else None
-            self.u = u if e.b.requires_grad else None
-            self.bt = bt if self.x_grad or e.a.requires_grad else None
         if not self.hidden:
-            return np.add(y, self.bias.data, out=dst)
+            return np.add(y, self.bias.data, out=y if dst is None else dst)
         y += self.bias.data
-        with np.errstate(**SILU_ERRSTATE):
-            den = silu_den(y, empty(y.shape))
-            out = np.divide(y, den, out=empty(y.shape))
+        fresh = scratch is None
+        den = silu_den(y, empty(y.shape) if fresh else scratch[:y.size].reshape(y.shape))
         if self.y_grad:
             self.pre, self.den = y, den
-        return out
+        return np.divide(y, den, out=empty(y.shape) if fresh else y)
 
     def backward(self, g: np.ndarray, grads: dict):
         """Add the gradients of the parameters that need one to grads, given
@@ -358,103 +348,64 @@ class DenoiserNet:
             h = silu(self._dense(h, f"layer{i}", adapter))
         return h
 
-    def _padded_layer(self, name: str, adapter) -> tuple:
-        """(W, n, bias, lora) of one dense layer for _affine: W padded by
-        pad_cols and n its own column count; lora is None or (A^T, rank, B^T,
-        scale), with both transposes contiguous, as the transpose primitive
-        makes them, and padded the same way."""
-        w = self.params[f"{name}.weight"].data
-        entry = adapter.entries.get(f"{name}.weight") if adapter is not None else None
-        lora = None if entry is None else (pad_cols(np.ascontiguousarray(entry.a.data.T)), entry.rank,
-                                           pad_cols(np.ascontiguousarray(entry.b.data.T)), entry.scale)
-        return pad_cols(w), w.shape[1], self.params[f"{name}.bias"].data, lora
+    def _block_forward(self, z, t_feats, g_feats, cond, adapter) -> Tensor:
+        """The network's dense layers (_DenseLayer) over row blocks; while
+        taping, the whole batch as one block, recorded as one node.
 
-    def _blocked_forward(self, z, t_feats, g_feats, cond, adapter) -> np.ndarray:
-        """The forward off the tape, over near-equal row blocks of at most BLOCK_ROWS rows.
-
-        t_feats and g_feats are sinusoidal_table pairs. Once per call, the
-        weights are padded and time_proj and guidance_proj (adapter delta and
-        bias included) run over the distinct-value tables, so a batch that
-        shares one timestep pays for one projected row. A one-row table is
-        widened to two rows, because numpy hands a one-row product to gemv,
-        which rounds differently. Per block, the block's rows of the
-        projected tables and of cond_table are gathered into layer 0's input,
-        and the layers run through a few buffers taken once per call from
-        tensor.empty: tensor.product writes into them, then the adapter delta,
-        the bias and SiLU (through tensor.silu_den) apply in place, in the
-        primitives' order of operations, so the bits are the primitives'
-        bits. Each block's output layer writes the block's rows of the
-        returned (m, data_dim) array; no whole-batch activation exists.
+        t_feats and g_feats are sinusoidal_table pairs. Off the tape, the rows
+        run in near-equal blocks of at most BLOCK_ROWS rows through a few flat
+        buffers taken once per call from tensor.empty, and each block's
+        output layer writes the block's rows of the (m, data_dim) result, so
+        no whole-batch activation exists. time_proj and guidance_proj run once
+        per call over the distinct-value tables, so a batch that shares one
+        timestep pays for one projected row; a one-row table is widened to two
+        rows, because numpy hands a one-row product to gemv, which rounds
+        differently. Each block gathers its rows of the projected tables and
+        of cond_table into layer 0's input. On the tape the projections run
+        per row, straight into layer 0's input, so their gradients sum in the
+        per-op graph's order. The node's inputs are every parameter and
+        adapter factor; its backward returns gradients for those that need
+        one, equal bit for bit to the per-op graph's (_trunk and _dense).
         """
+        tape = taping()
+        table = self.params["cond_table"]
+        proj = [_DenseLayer(self, name, adapter, False, False) for name in ("time_proj", "guidance_proj")]
+        x_grad = (tape and table.requires_grad) or any(layer.y_grad for layer in proj)
+        layers = []
+        for i in range(self.n_layers):
+            layers.append(_DenseLayer(self, f"layer{i}", adapter, x_grad, i < self.n_layers - 1))
+            x_grad = layers[-1].y_grad
         m = z.shape[0]
-        names = ("time_proj", "guidance_proj", *(f"layer{i}" for i in range(self.n_layers)))
-        layers = [self._padded_layer(name, adapter) for name in names]
-        proj, hidden_layers, last = layers[:2], layers[2:-1], layers[-1]
-        projected = []
-        for (values, idx), layer in zip((t_feats, g_feats), proj):
-            if values.shape[0] == 1:
-                values = np.concatenate([values, values])
-            projected.append((_affine(values, layer, None, None, None), idx))
-        parts = -(-m // BLOCK_ROWS)
+        parts = 1 if tape else -(-m // BLOCK_ROWS)
         size = -(-m // parts)  # rows of the largest block
-        width = max(w.shape[1] for w, _, _, _ in layers[2:])
-        rank = max((lora[0].shape[1] for _, _, _, lora in layers[2:] if lora is not None), default=0)
-        x = empty((size, layers[2][0].shape[0]))
-        acts = (empty(size * width), empty(size * width))
-        # an adapter delta is spent before the SiLU denominator is needed
-        scratch = empty(size * width)
-        low = empty(size * rank)
+        feats = (t_feats, g_feats)
+        acts, low, scratch = (None, None), None, None
+        if not tape:
+            feats = [(layer.forward(np.concatenate([v, v]) if v.shape[0] == 1 else v), idx)
+                     for (v, idx), layer in zip(feats, proj)]
+            width = max(layer.wp.shape[1] for layer in layers)
+            rank = max((layer.atp.shape[1] for layer in layers if layer.entry is not None), default=0)
+            acts = (empty(size * width), empty(size * width))
+            # an adapter delta is spent before the SiLU denominator is needed
+            low, scratch = empty(size * rank), empty(size * width)
+        x = empty((size, layers[0].w.shape[0]))
         eps = empty((m, self.data_dim))
-        table = self.params["cond_table"].data
         # np.array_split's blocks, the first m % parts one row longer, as slices
         bounds = [b * (m // parts) + min(b, m % parts) for b in range(parts + 1)]
         with np.errstate(**SILU_ERRSTATE):
             for lo, hi in zip(bounds, bounds[1:]):
-                r = hi - lo
-                h = x[:r]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
+                h = x[:hi - lo]  # _trunk's concat_cols([z, h_t, h_g, h_c]), filled column range by range
                 c = self.data_dim
                 h[:, :c] = z[lo:hi]
-                # the ids are in range, and mode="clip" lets np.take write into out unbuffered
-                for rows, idx in projected:
-                    np.take(rows, idx[lo:hi], axis=0, out=h[:, c:c + rows.shape[1]], mode="clip")
-                    c += rows.shape[1]
-                np.take(table, cond[lo:hi], axis=0, out=h[:, c:], mode="clip")
-                for i, layer in enumerate(hidden_layers):
-                    h = _affine(h, layer, acts[i % 2], low, scratch)
-                    h /= silu_den(h, _rows(scratch, r, layer[1]))
-                _affine(h, last, acts[len(hidden_layers) % 2], low, scratch, dst=eps[lo:hi])
-        return eps
-
-    def _taped_forward(self, z, t_feats, g_feats, cond, adapter) -> Tensor:
-        """The whole-batch forward on the tape, recorded as one node.
-
-        It runs _blocked_forward's layer arithmetic (tensor.product, _affine's
-        order of operations, silu_den) over the whole batch, so the output has
-        the per-op graph's bits. Each layer (_TapedLayer) keeps only what
-        its backward reads. The node's inputs are every parameter and adapter
-        factor; its backward returns gradients for those that need one,
-        equal bit for bit to the per-op graph's (_trunk and _dense).
-        """
-        proj = [_TapedLayer(self, name, adapter, False, False)
-                for name in ("time_proj", "guidance_proj")]
-        table = self.params["cond_table"]
-        x_grad = table.requires_grad or any(layer.y_grad for layer in proj)
-        layers = []
-        for i in range(self.n_layers):
-            layers.append(_TapedLayer(self, f"layer{i}", adapter, x_grad, i < self.n_layers - 1))
-            x_grad = layers[-1].y_grad
-        m = z.shape[0]
-        h = empty((m, layers[0].w.shape[0]))   # _trunk's concat_cols([z, h_t, h_g, h_c])
-        c = self.data_dim
-        h[:, :c] = z
-        for (values, idx), layer in zip((t_feats, g_feats), proj):
-            width = layer.w.shape[1]
-            layer.forward(values[idx], dst=h[:, c:c + width])
-            c += width
-        np.take(table.data, cond, axis=0, out=h[:, c:], mode="clip")
-        for layer in layers[:-1]:
-            h = layer.forward(h)
-        out = layers[-1].forward(h, dst=empty((m, self.data_dim)))
+                for (values, idx), layer in zip(feats, proj):
+                    if tape:
+                        layer.forward(values[idx], dst=h[:, c:c + layer.n])
+                    else:   # the ids are in range, and mode="clip" lets np.take write into out unbuffered
+                        np.take(values, idx[lo:hi], axis=0, out=h[:, c:c + layer.n], mode="clip")
+                    c += layer.n
+                np.take(table.data, cond[lo:hi], axis=0, out=h[:, c:], mode="clip")
+                for i, layer in enumerate(layers):
+                    h = layer.forward(h, acts[i % 2], low, scratch, None if layer.hidden else eps[lo:hi])
         leaves = (table, *(p for layer in (*proj, *layers) for p in layer.params))
 
         def bwd(g):
@@ -469,10 +420,9 @@ class DenoiserNet:
             else:   # g is the gradient of the concatenated input
                 c = self.data_dim
                 for layer in proj:
-                    width = layer.w.shape[1]
                     if layer.y_grad:
-                        layer.backward(g[:, c:c + width], grads)
-                    c += width
+                        layer.backward(g[:, c:c + layer.n], grads)
+                    c += layer.n
                 if table.requires_grad:
                     gt = empty(table.shape)
                     gt.fill(0.0)
@@ -480,28 +430,22 @@ class DenoiserNet:
                     grads[table] = gt
             return tuple(grads.get(p) for p in leaves)
 
-        return _record(out, leaves, bwd)
+        return _record(eps, leaves, bwd)
 
     def forward(self, z, omega, cond, t, adapter=None) -> Tensor:
         """eps estimate for a batch; z (m, data_dim), omega/cond/t scalar or per-row.
 
         Once per call, t and omega become sinusoidal tables of their distinct
         values (sinusoidal_table), and one finiteness scan covers z and those
-        tables. Off the tape, a batch of more than BLOCK_ROWS rows then runs
-        through _blocked_forward: the time and guidance projections run once
-        per call over the tables' rows, and every other layer over near-equal
-        row blocks of at most BLOCK_ROWS rows, so each block's activations
-        stay in cache. The blocks skip the primitives: they run in place
-        through buffers allocated once per call, with the primitives'
-        arithmetic, and write the output rows straight into the result.
-        Every forward product pads its right operand to whole 8-column groups
-        (tensor.product), which gives the same bits for any block of 2 or
-        more rows as for the whole batch (tests/test_denoiser.py checks
-        this). On the tape, the whole batch, one row per input row, runs the
-        same layer arithmetic and is recorded as one node (_taped_forward),
-        whose gradients equal the per-op graph's bit for bit. Off the tape, a
-        batch of at most BLOCK_ROWS rows runs through the primitives (_trunk
-        and _dense), also one row per input row.
+        tables. One routine then runs the layers (_block_forward): off the
+        tape over row blocks of at most BLOCK_ROWS rows, in place through
+        buffers taken once per call; on the tape over the whole batch as one
+        block, recorded as one node whose gradients equal the per-op graph's
+        bit for bit. Every forward product pads its right operand to whole
+        8-column groups (tensor.product), which gives the same bits for any
+        block of 2 or more rows as for the whole batch (tests/test_denoiser.py
+        checks this). The exception is an off-tape batch of at most BLOCK_ROWS
+        rows, which runs through the primitives (_trunk and _dense).
         """
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != self.data_dim:
@@ -522,9 +466,9 @@ class DenoiserNet:
         # rows: NaN or Inf in z, t or omega raises here
         if not all(np.all(np.isfinite(a)) for a in (z, t_feats[0], g_feats[0])):
             raise NonFiniteError("tensor data contains NaN or Inf")
-        if taping():
-            h = self._taped_forward(z, t_feats, g_feats, cond_arr, adapter)
-        elif m <= BLOCK_ROWS:
+        if taping() or m > BLOCK_ROWS:
+            h = self._block_forward(z, t_feats, g_feats, cond_arr, adapter)
+        else:
             # the per-op graph off the tape: perfbench's tracer test asks a
             # 3-row off-tape forward for tensor.matmul and tensor.silu spans,
             # so this branch, and the primitives only it calls, stay until
@@ -532,8 +476,6 @@ class DenoiserNet:
             rows = [_wrap(np.ascontiguousarray(z)), *(_wrap(v[idx]) for v, idx in (t_feats, g_feats))]
             h = self._trunk(*rows, cond_arr, adapter)
             h = self._dense(h, f"layer{self.n_layers - 1}", adapter)
-        else:
-            h = _wrap(self._blocked_forward(z, t_feats, g_feats, cond_arr, adapter))
         if not np.all(np.isfinite(h.data)):
             raise NonFiniteError("non-finite activations in denoiser forward")
         return h

@@ -23,9 +23,9 @@ allocating afresh; the values are the same either way.
 
 SiLU takes one exp per element, x / (1 + exp(-x)), and its backward reuses
 that denominator. `silu_den` computes it into a caller's buffer and
-`silu_grad` is the backward formula, so the denoiser's own forwards (the
-buffer-reusing off-tape one, and the taped one that records the whole network
-as one node) apply the primitive's arithmetic without calling it.
+`silu_grad` is the backward formula, so the denoiser's own layer routine
+(buffer-reusing off the tape, recorded as one node for the whole network on
+it) applies the primitive's arithmetic without calling it.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ def test_step_checkpoints_load_and_match_final(run_root, teacher_ckpt):
         assert np.array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("count", ["0", "100"])
+@pytest.mark.parametrize("count", ["0", "1", "100"])
 def test_eval_rejects_count_outside_sample_rows(run_root, capsys, count):
     write_samples(run_root / "eight.csv", np.zeros((8, 2)), np.zeros(8, dtype=np.int64), {})
     assert main(["eval", "--samples", "eight.csv", "--count", count]) == 1
@@ -110,7 +110,8 @@ def test_eval_rejects_count_outside_sample_rows(run_root, capsys, count):
 
 # --cond 8 is the null id of the 8-condition ring8 teacher, not a condition
 @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--count", "-3"),
-                                        ("--cond", "8"), ("--cond", "-1")])
+                                        ("--cond", "8"), ("--cond", "-1"), ("--cond", "2.5"),
+                                        ("--cond", "abc"), ("--steps", "0"), ("--steps", "60")])
 def test_sample_rejects_bad_count_or_cond(run_root, teacher_ckpt, capsys, flag, value):
     capsys.readouterr()
     assert main(["sample", "--ckpt", str(teacher_ckpt), "--steps", "2", "--count", "4",
@@ -317,7 +318,8 @@ def test_gradcheck_small(run_root, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-2"),
-                                        ("--hidden", "8,0")])
+                                        ("--hidden", "8,0"), ("--tolerance", "nan"),
+                                        ("--tolerance", "-1")])
 def test_gradcheck_rejects_bad_sizes(run_root, capsys, recwarn, flag, value):
     assert main(["gradcheck", "--hidden", "8,8", "--rank", "2", flag, value]) == 1
     captured = capsys.readouterr()
